@@ -8,7 +8,7 @@ methods against realized demand.
 """
 
 from .cone import ConeRow, solve_cone
-from .formulations import (PHI_ZERO_TOL, FirstStage, MethodId, PhiPositive,
+from .formulations import (PHI_ZERO_TOL, FirstStage, PhiPositive,
                            build_recourse, build_ro_box, build_ro_ell,
                            build_sp, build_trsocp, build_ws,
                            extract_first_stage, recover_adjustable_m5)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc", "ALL_COLUMNS", "BoxParams", "ComparisonReport", "ConeRow",
     "Destination", "EllipseParams", "FirstStage", "Instance",
-    "LinearProblem", "METHOD_COLUMNS", "MethodId", "PHI_ZERO_TOL",
+    "LinearProblem", "METHOD_COLUMNS", "PHI_ZERO_TOL",
     "PhiPositive", "ScenarioSet", "Solution", "SolverConfig", "StabilityCurve",
     "Status", "Stream", "Supplier", "booking_cost", "build_recourse",
     "build_ro_box", "build_ro_ell", "build_sp", "build_trsocp", "build_ws",

@@ -11,7 +11,6 @@ Methods:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -26,19 +25,9 @@ from .uncertainty import BoxParams, EllipseParams, ScenarioSet, estimate_box
 PHI_ZERO_TOL = 1e-6  # relative to ||d||^2 + 1
 
 
-class MethodId(enum.Enum):
-    M1_SP = "m1"
-    M2_ROBOX = "m2"
-    M3_ROELL = "m3"
-    M4_TRSOCP = "m4"
-    M5_ARC = "m5"
-
-
 @dataclass
 class FirstStage:
     x: dict[ArcKey, float]
-    source: MethodId | None = None
-    relax: bool = True
 
 
 class PhiPositive(Exception):
@@ -46,11 +35,9 @@ class PhiPositive(Exception):
     hull decision rule are undefined."""
 
 
-def extract_first_stage(inst: Instance, sol: Solution,
-                        source: MethodId | None = None,
-                        relax: bool = True) -> FirstStage:
+def extract_first_stage(inst: Instance, sol: Solution) -> FirstStage:
     x = {a.key: max(0.0, sol.values.get(x_name(a), 0.0)) for a in inst.arcs}
-    return FirstStage(x=x, source=source, relax=relax)
+    return FirstStage(x=x)
 
 
 def _objective_coeffs(p: LinearProblem, inst: Instance, b, weight: float = 1.0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import solve_cone
-from .formulations import (FirstStage, MethodId, PhiPositive, build_recourse,
+from .formulations import (FirstStage, PhiPositive, build_recourse,
                            build_ro_box, build_ro_ell, build_sp, build_trsocp,
                            build_ws, extract_first_stage,
                            recover_adjustable_m5)
@@ -31,10 +31,6 @@ from .uncertainty import EllipseParams, ScenarioSet, estimate_box, sample_costs
 
 METHOD_COLUMNS = ["m1", "m2", "m3", "m4", "m5"]
 ALL_COLUMNS = METHOD_COLUMNS + ["ws"]
-
-_METHOD_IDS = {"m1": MethodId.M1_SP, "m2": MethodId.M2_ROBOX,
-               "m3": MethodId.M3_ROELL, "m4": MethodId.M4_TRSOCP,
-               "m5": MethodId.M5_ARC}
 
 
 @dataclass
@@ -103,7 +99,7 @@ def _solve_first_stage(inst, method, prefix, box, omega, relax, cfg):
         raise ValueError(f"unknown method {method!r}")
     if not sol.optimal:
         return None, sol
-    return extract_first_stage(inst, sol, _METHOD_IDS[method], relax), sol
+    return extract_first_stage(inst, sol), sol
 
 
 def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
@@ -111,6 +107,20 @@ def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
     p = build_recourse(inst, x_star, d, b, relax)
     sol = solve_lp(p, cfg) if relax else solve_mip(p, cfg)
     return _objective_or_inf(sol)
+
+
+def _price_m5(inst, trsocp_sol, fs, prefix_demands, d, b) -> float:
+    """Realized cost of an m5 booking whose adjustables follow the hull
+    decision rule at demand ``d``; inf when ``d`` lies outside the hull of
+    ``prefix_demands``."""
+    lam, phi = project_simplex_lsq(d, list(prefix_demands), tol=1e-12)
+    try:
+        y, z = recover_adjustable_m5(inst, trsocp_sol, lam, phi, d)
+    except PhiPositive:
+        return math.inf
+    # numeric guard: the combination satisfies z <= x up to LP tol
+    z = {k: min(v, fs.x.get(k, 0.0)) for k, v in z.items()}
+    return booking_cost(inst, fs.x) + recourse_cost(inst, fs.x, y, z, b)
 
 
 def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
@@ -140,16 +150,7 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
             continue
         stages[m] = fs
         if m == "m5":
-            lam, phi = project_simplex_lsq(d_next, list(prefix.demands),
-                                           tol=1e-12)
-            try:
-                y, z = recover_adjustable_m5(inst, sol, lam, phi, d_next)
-                # numeric guard: the combination satisfies z <= x up to LP tol
-                z = {k: min(v, fs.x.get(k, 0.0)) for k, v in z.items()}
-                cells[m] = booking_cost(inst, fs.x) + recourse_cost(
-                    inst, fs.x, y, z, b_next)
-            except PhiPositive:
-                cells[m] = math.inf
+            cells[m] = _price_m5(inst, sol, fs, prefix.demands, d_next, b_next)
         else:
             cells[m] = evaluate_recourse(inst, fs, d_next, b_next, relax, cfg)
         times[m] = time.perf_counter() - t0
@@ -288,17 +289,10 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
                 prefix_demands, trsocp_sol, fs5 = m5_data[tau]
                 acc = 0.0
                 for i in range(n):
-                    lam, phi = project_simplex_lsq(ds[i], list(prefix_demands),
-                                                   tol=1e-12)
-                    try:
-                        y, z = recover_adjustable_m5(inst, trsocp_sol, lam,
-                                                     phi, ds[i])
-                    except PhiPositive:
-                        acc = math.inf
+                    acc += _price_m5(inst, trsocp_sol, fs5, prefix_demands,
+                                    ds[i], bs[i])
+                    if math.isinf(acc):
                         break
-                    z = {k: min(v, fs5.x.get(k, 0.0)) for k, v in z.items()}
-                    acc += booking_cost(inst, fs5.x) + recourse_cost(
-                        inst, fs5.x, y, z, bs[i])
                 total += acc / n if math.isfinite(acc) else math.inf
             else:
                 acc = 0.0

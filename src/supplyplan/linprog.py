@@ -150,7 +150,7 @@ class LinearProblem:
         return worst
 
 
-def _to_scipy(p: LinearProblem, bound_overrides=None):
+def _to_scipy(p: LinearProblem):
     n = p.num_vars
     c = np.asarray(p.obj)
     ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
@@ -175,36 +175,15 @@ def _to_scipy(p: LinearProblem, bound_overrides=None):
         return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
 
     bounds = [(p.lb[i], p.ub[i]) for i in range(n)]
-    if bound_overrides:
-        for name, (lo, hi) in bound_overrides.items():
-            i = p._index[name]
-            lo0, hi0 = bounds[i]
-            if lo is None:
-                lo = lo0
-            else:
-                lo = lo if lo0 is None else max(lo0, lo)
-            if hi is not None:
-                hi = hi if hi0 is None else min(hi0, hi)
-            else:
-                hi = hi0
-            bounds[i] = (lo, hi)
     A_ub = build(ub_rows) if ub_rows else None
     A_eq = build(eq_rows) if eq_rows else None
     return c, A_ub, np.asarray(ub_rhs), A_eq, np.asarray(eq_rhs), bounds
 
 
-def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None,
-             bound_overrides: dict | None = None) -> Solution:
-    """Solve the continuous relaxation of ``p`` (integrality marks ignored).
-
-    ``bound_overrides`` maps names to ``(lo, hi)`` pairs tightened against the
-    declared bounds; used by branch and bound.
-    """
+def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
+    """Solve the continuous relaxation of ``p`` (integrality marks ignored)."""
     cfg = cfg or SolverConfig()
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p, bound_overrides)
-    for lo, hi in bounds:
-        if lo is not None and hi is not None and lo > hi:
-            return Solution(Status.INFEASIBLE, math.inf)
+    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
     res = _scipy_linprog(
         c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
         A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,

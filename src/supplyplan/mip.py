@@ -1,83 +1,60 @@
-"""Best-bound branch and bound over LP relaxations."""
+"""Integer problems by HiGHS MIP (``scipy.optimize.milp``)."""
 
 from __future__ import annotations
 
-import heapq
 import math
+import warnings
 
-from .linprog import LinearProblem, Solution, SolverConfig, Status, solve_lp
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-
-def _most_fractional(p: LinearProblem, values: dict[str, float], int_tol: float):
-    """Index of the integer variable farthest from integrality; ties go to the
-    lowest variable index. Returns None when all marks are satisfied."""
-    best_idx, best_frac = None, int_tol
-    for i, name in enumerate(p.var_names):
-        if not p.integer[i]:
-            continue
-        v = values[name]
-        frac = abs(v - round(v))
-        if frac > best_frac + 1e-15:
-            best_idx, best_frac = i, frac
-    return best_idx
+from .linprog import (LinearProblem, Solution, SolverConfig, Status,
+                      _to_scipy, solve_lp)
 
 
 def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
+    """Solve ``p`` with its integrality marks; the absolute gap ``mip_gap``
+    governs termination and ``max_bb_nodes`` caps the branch-and-bound nodes."""
     cfg = cfg or SolverConfig()
     if not p.any_integer():
         return solve_lp(p, cfg)
 
-    root = solve_lp(p, cfg)
-    if root.status in (Status.INFEASIBLE, Status.UNBOUNDED, Status.ITER_LIMIT):
-        return root
+    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
+    constraints = []
+    if A_ub is not None:
+        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
+    if A_eq is not None:
+        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
+    lo = [-np.inf if b is None else b for b, _ in bounds]
+    hi = [np.inf if b is None else b for _, b in bounds]
+    with warnings.catch_warnings():
+        # options beyond milp's own are passed to HiGHS verbatim
+        warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                RuntimeWarning)
+        res = milp(c, constraints=constraints, bounds=Bounds(lo, hi),
+                   integrality=np.asarray(p.integer, dtype=int),
+                   options={"node_limit": cfg.max_bb_nodes, "mip_rel_gap": 0.0,
+                            "mip_abs_gap": cfg.mip_gap,
+                            "mip_feasibility_tolerance": cfg.int_tol,
+                            "primal_feasibility_tolerance": cfg.feas_tol,
+                            "dual_feasibility_tolerance": cfg.opt_tol})
 
-    incumbent: Solution | None = None
-    best_obj = math.inf
-    # heap entries: (lp bound, insertion counter, bound overrides)
-    counter = 0
-    heap = [(root.objective, counter, {})]
-    nodes = 0
-    global_lb = root.objective
+    def incumbent(status):
+        vals = {name: float(round(v)) if integer else float(v)
+                for name, v, integer in zip(p.var_names, res.x, p.integer)}
+        return Solution(status, float(res.fun) + p.objective_offset, vals,
+                        gap=float(res.fun) - float(res.mip_dual_bound))
 
-    while heap:
-        bound, _, overrides = heapq.heappop(heap)
-        global_lb = bound
-        if bound >= best_obj - cfg.mip_gap:
-            break  # best-bound order: nothing better remains
-        if nodes >= cfg.max_bb_nodes:
-            if incumbent is not None:
-                incumbent.status = Status.NODE_LIMIT
-                incumbent.gap = best_obj - global_lb
-                return incumbent
-            return Solution(Status.NODE_LIMIT, math.inf, gap=math.inf)
-        nodes += 1
-
-        sol = solve_lp(p, cfg, bound_overrides=overrides) if overrides else root
-        if not sol.optimal or sol.objective >= best_obj - cfg.mip_gap:
-            continue
-        branch = _most_fractional(p, sol.values, cfg.int_tol)
-        if branch is None:
-            # integral within int_tol: round onto the lattice
-            vals = dict(sol.values)
-            for i, name in enumerate(p.var_names):
-                if p.integer[i]:
-                    vals[name] = float(round(vals[name]))
-            if sol.objective < best_obj:
-                best_obj = sol.objective
-                incumbent = Solution(Status.OPTIMAL, sol.objective, vals)
-            continue
-        name = p.var_names[branch]
-        v = sol.values[name]
-        down, up = math.floor(v), math.ceil(v)
-        for lo, hi in (((None, float(down))), ((float(up), None))):
-            child = dict(overrides)
-            old = child.get(name, (None, None))
-            child[name] = (lo if lo is not None else old[0],
-                           hi if hi is not None else old[1])
-            counter += 1
-            heapq.heappush(heap, (sol.objective, counter, child))
-
-    if incumbent is None:
+    if res.status == 0:
+        return incumbent(Status.OPTIMAL)
+    if res.status == 2:
         return Solution(Status.INFEASIBLE, math.inf)
-    incumbent.gap = max(0.0, min(best_obj - global_lb, cfg.mip_gap))
-    return incumbent
+    if res.status == 3:
+        return Solution(Status.UNBOUNDED, -math.inf)
+    if res.status == 4 and (res.mip_node_count or 0) >= cfg.max_bb_nodes:
+        if res.x is None:
+            return Solution(Status.NODE_LIMIT, math.inf, gap=math.inf)
+        return incumbent(Status.NODE_LIMIT)
+    if res.status == 1:
+        return Solution(Status.ITER_LIMIT, math.inf)
+    raise RuntimeError(f"MIP backend failure: {res.message}")

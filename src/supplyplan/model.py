@@ -241,10 +241,6 @@ class RowBundle:
         default_factory=list)  # (name, lb, ub, integer)
     rows: list[tuple[dict[str, float], str, float]] = field(default_factory=list)
 
-    def extend(self, other: "RowBundle"):
-        self.variables.extend(other.variables)
-        self.rows.extend(other.rows)
-
     def apply(self, p):
         for name, lb, ub, integer in self.variables:
             p.add_var(name, lb=lb, ub=ub, integer=integer)
@@ -289,13 +285,4 @@ def second_stage_rows(inst: Instance, d, relax: bool, tag=None) -> RowBundle:
         bundle.rows.append((coeffs, ">=", demand[dest.id] - dest.l0))
     for a in inst.arcs:
         bundle.rows.append(({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0))
-    return bundle
-
-
-def build_rows(inst: Instance, d, relax: bool) -> RowBundle:
-    """Single-copy deterministic row bundle: C1 over x, C2 over z, C3 over
-    (z, y), the z <= x rows and variable bounds, with integrality marks on
-    x and z iff ``relax`` is false."""
-    bundle = first_stage_rows(inst, relax)
-    bundle.extend(second_stage_rows(inst, d, relax))
     return bundle

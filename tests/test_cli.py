@@ -167,3 +167,39 @@ def test_evpi_prints_value(data_dir, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(out) >= -1e-6
+
+
+@pytest.fixture(scope="module")
+def gen_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gen")
+    assert main(["gen", "--suppliers", "4", "--destinations", "3",
+                 "--scenarios", "8", "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_solve_integer_sp_books_whole_vehicles(gen_dir, tmp_path):
+    rc = main(["solve", "--model", "sp", "--integer"]
+              + _common(gen_dir, tmp_path))
+    assert rc == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    assert doc["status"] == "optimal"
+    assert doc["x"] and all(v == round(v) for v in doc["x"].values())
+
+
+def _report_rows(path):
+    lines = (path / "report.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:-1]]
+
+
+def test_compare_integer_cells_above_relaxed_ws(gen_dir, tmp_path):
+    argv = ["compare", "--methods", "m1,m2", "--sbar", "5"]
+    assert main(argv + ["--integer"] + _common(gen_dir, tmp_path / "int")) == 0
+    assert main(argv + _common(gen_dir, tmp_path / "lp")) == 0
+    int_rows = _report_rows(tmp_path / "int")
+    lp_rows = _report_rows(tmp_path / "lp")
+    assert len(int_rows) == 3
+    for row, lp in zip(int_rows, lp_rows):
+        for m in ("m1", "m2"):
+            assert row[m] != "inf"
+            assert float(row[m]) >= float(lp["ws"]) - 1e-6

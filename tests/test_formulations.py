@@ -122,7 +122,7 @@ def test_integer_sp_books_whole_vehicles(one_arc, cfg):
     scens = sp.ScenarioSet(np.array([[33.0], [47.0]]),
                            np.array([[8.0], [8.0]]))
     sol = sp.solve_mip(sp.build_sp(one_arc, scens, relax=False), cfg)
-    fs = sp.extract_first_stage(one_arc, sol, relax=False)
+    fs = sp.extract_first_stage(one_arc, sol)
     x = fs.x[one_arc.arcs[0].key]
     assert x == pytest.approx(round(x), abs=1e-6)
 

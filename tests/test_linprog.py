@@ -64,20 +64,6 @@ def test_unbounded(cfg):
     assert sol.objective == -math.inf
 
 
-def test_bound_overrides_tighten(cfg):
-    p = _simple_problem()
-    sol = sp.solve_lp(p, cfg, bound_overrides={"y": (None, 1.0)})
-    assert sol.objective == pytest.approx(-6.0, abs=1e-9)
-    # overrides never loosen declared bounds
-    sol = sp.solve_lp(p, cfg, bound_overrides={"y": (None, 99.0)})
-    assert sol.objective == pytest.approx(-9.0, abs=1e-9)
-
-
-def test_conflicting_overrides_infeasible(cfg):
-    sol = sp.solve_lp(_simple_problem(), cfg, bound_overrides={"x": (3.0, 2.0)})
-    assert sol.status is Status.INFEASIBLE
-
-
 def test_validation_errors():
     p = sp.LinearProblem()
     p.add_var("x")

@@ -1,22 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import supplyplan as sp
 from supplyplan.linprog import Status
-from supplyplan.mip import _most_fractional
 
 import helpers
 
 
-def test_knapsack_known_answer(cfg):
+def _knapsack():
     # max 5a + 4b + 3c s.t. 2a + 3b + c <= 5, binaries -> value 9 (a=b=1)
     p = sp.LinearProblem()
     for name, v in (("a", -5.0), ("b", -4.0), ("c", -3.0)):
         p.add_var(name, obj=v, ub=1.0, integer=True)
     p.add_row({"a": 2.0, "b": 3.0, "c": 1.0}, "<=", 5.0)
-    sol = sp.solve_mip(p, cfg)
+    return p
+
+
+def test_knapsack_known_answer(cfg):
+    sol = sp.solve_mip(_knapsack(), cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(-9.0, abs=1e-6)
     assert sol.values["a"] == 1.0 and sol.values["b"] == 1.0
@@ -62,26 +66,40 @@ def test_infeasible_lp_relaxation(cfg):
     assert sp.solve_mip(p, cfg).status is Status.INFEASIBLE
 
 
-def test_most_fractional_tie_breaks_to_lowest_index():
+def _market_split():
+    """Two equality knapsacks over 12 binaries with slack and surplus at cost
+    1 (optimum 0); hard for LP-based search, so one node does not close it."""
+    a = np.random.default_rng(0).integers(0, 100, size=(2, 12))
     p = sp.LinearProblem()
-    p.add_var("a", integer=True)
-    p.add_var("b", integer=True)
-    p.add_var("c", integer=False)
-    assert _most_fractional(p, {"a": 1.3, "b": 2.7, "c": 0.5}, 1e-6) == 0
-    assert _most_fractional(p, {"a": 1.1, "b": 2.7, "c": 0.5}, 1e-6) == 1
-    assert _most_fractional(p, {"a": 1.0, "b": 3.0, "c": 0.5}, 1e-6) is None
+    for j in range(12):
+        p.add_var(f"x{j}", ub=1.0, integer=True)
+    for i in range(2):
+        p.add_var(f"s{i}", obj=1.0)
+        p.add_var(f"t{i}", obj=1.0)
+        coeffs = {f"x{j}": float(a[i, j]) for j in range(12)}
+        coeffs[f"s{i}"] = 1.0
+        coeffs[f"t{i}"] = -1.0
+        p.add_row(coeffs, "==", float(a[i].sum() // 2))
+    return p
 
 
 def test_node_limit_reports_status():
     cfg = sp.SolverConfig(max_bb_nodes=1)
-    rng = np.random.default_rng(7)
-    hit = False
-    for _ in range(50):
-        sol = sp.solve_mip(helpers.random_mip(rng), cfg)
-        if sol.status is Status.NODE_LIMIT:
-            hit = True
-            assert sol.gap > 0 or math.isinf(sol.objective)
-    assert hit
+    sol = sp.solve_mip(_market_split(), cfg)
+    assert sol.status is Status.NODE_LIMIT
+    assert sol.gap > 0 or math.isinf(sol.objective)
+
+
+def test_market_split_solves_without_node_limit(cfg):
+    sol = sp.solve_mip(_market_split(), cfg)
+    assert sol.optimal
+    assert sol.objective == pytest.approx(0.0, abs=1e-6)
+
+
+def test_emits_no_warning(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.solve_mip(_knapsack(), cfg).optimal
 
 
 def test_matches_lattice_enumeration_on_random_mips(cfg):
