@@ -12,21 +12,15 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .cone import solve_cone
-from .formulations import (build_ro_box, build_ro_ell, build_sp, build_trsocp,
-                           build_ws)
+from .formulations import build_sp, build_ws
 from .framework import (ALL_COLUMNS, METHOD_COLUMNS, compute_evpi,
                         in_sample_stability, monte_carlo_validation,
-                        run_comparison)
+                        run_comparison, solve, solve_method)
 from .generate import gen_instance, gen_scenarios
-from .linprog import SolverConfig, Status, solve_lp
-from .mip import solve_mip
+from .linprog import SolverConfig, Status
 from .model import Instance
-from .uncertainty import (EllipseParams, estimate_box, demand_gamma,
-                          load_scenarios, omega_for_epsilon, sample_costs,
-                          save_scenarios)
+from .uncertainty import (estimate_box, demand_gamma, load_scenarios,
+                          omega_for_epsilon, sample_costs, save_scenarios)
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_LIMIT = 0, 1, 2, 3
 
@@ -121,6 +115,8 @@ def _load(args):
 
 def _resolve_omega(args, required: bool):
     if args.omega is not None and args.epsilon is not None:
+        print("error: --omega and --epsilon are mutually exclusive",
+              file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
     if args.omega is not None:
         return args.omega
@@ -162,27 +158,18 @@ def cmd_solve(args) -> int:
     need_omega = args.model in ("ro-ell", "trsocp")
     omega = _resolve_omega(args, required=need_omega) if need_omega else None
 
-    if args.model == "sp":
-        p = build_sp(inst, scens, args.relax)
-        sol = solve_lp(p, cfg) if args.relax else solve_mip(p, cfg)
-    elif args.model == "ws":
+    if args.model == "ws":
         s = args.scenario - 1
         if not 0 <= s < scens.S:
             print("error: scenario index out of range", file=sys.stderr)
             return EXIT_CONFIG
-        p = build_ws(inst, scens.demands[s], scens.costs[s], args.relax)
-        sol = solve_lp(p, cfg) if args.relax else solve_mip(p, cfg)
-    elif args.model == "ro-box":
-        box = estimate_box(scens, scens.S)
-        p = build_ro_box(inst, box, args.relax)
-        sol = solve_lp(p, cfg) if args.relax else solve_mip(p, cfg)
-    elif args.model == "ro-ell":
-        box = estimate_box(scens, scens.S)
-        p, cone = build_ro_ell(inst, box, EllipseParams(omega))
-        sol = solve_cone(p, cone, cfg)
-    else:  # trsocp
-        p, cones = build_trsocp(inst, scens, omega)
-        sol = solve_cone(p, cones, cfg)
+        sol = solve(build_ws(inst, scens.demands[s], scens.costs[s],
+                             args.relax), cfg)
+    else:
+        method = {"sp": "m1", "ro-box": "m2", "ro-ell": "m3",
+                  "trsocp": "m4"}[args.model]
+        sol = solve_method(inst, method, scens, estimate_box(scens, scens.S),
+                           omega, args.relax, cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,17 +184,10 @@ def cmd_compare(args) -> int:
     inst, scens = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [m for m in methods if m != "ws"]
-    for m in methods:
-        if m not in METHOD_COLUMNS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return EXIT_CONFIG
     if scens.S < 2:
         print("error: compare needs at least 2 scenarios", file=sys.stderr)
         return EXIT_CONFIG
     sbar = args.sbar if args.sbar is not None else scens.S // 2
-    if not 1 <= sbar < scens.S:
-        print("error: need 1 <= sbar < S", file=sys.stderr)
-        return EXIT_CONFIG
     need_omega = any(m in methods for m in ("m3", "m4", "m5"))
     omega = _resolve_omega(args, required=False) if need_omega else 2.75
 
@@ -302,14 +282,13 @@ def cmd_montecarlo(args) -> int:
 def cmd_evpi(args) -> int:
     inst, scens = _load(args)
     cfg = SolverConfig()
-    sp_p = build_sp(inst, scens, args.relax)
-    sp = solve_lp(sp_p, cfg) if args.relax else solve_mip(sp_p, cfg)
+    sp = solve(build_sp(inst, scens, args.relax), cfg)
     if not sp.optimal:
         return _status_exit(sp.status)
     ws_values = []
     for s in range(scens.S):
-        p = build_ws(inst, scens.demands[s], scens.costs[s], args.relax)
-        sol = solve_lp(p, cfg) if args.relax else solve_mip(p, cfg)
+        sol = solve(build_ws(inst, scens.demands[s], scens.costs[s],
+                             args.relax), cfg)
         if not sol.optimal:
             return _status_exit(sol.status)
         ws_values.append(sol.objective)

@@ -28,6 +28,8 @@ PHI_ZERO_TOL = 1e-6  # relative to ||d||^2 + 1
 @dataclass
 class FirstStage:
     x: dict[ArcKey, float]
+    # m5 only: (scenario demands, trSOCP solution) of the hull decision rule
+    hull: tuple[np.ndarray, Solution] | None = None
 
 
 class PhiPositive(Exception):

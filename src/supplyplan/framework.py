@@ -13,7 +13,7 @@ import concurrent.futures
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .formulations import (FirstStage, PhiPositive, build_recourse,
                            build_ro_box, build_ro_ell, build_sp, build_trsocp,
                            build_ws, extract_first_stage,
                            recover_adjustable_m5)
-from .linprog import SolverConfig, Status, solve_lp
+from .linprog import Solution, SolverConfig, solve_lp
 from .mip import solve_mip
 from .model import Instance, booking_cost, recourse_cost
 from .projection import project_simplex_lsq
@@ -81,38 +81,47 @@ def _objective_or_inf(sol) -> float:
     return sol.objective if sol.optimal else math.inf
 
 
-def _solve_first_stage(inst, method, prefix, box, omega, relax, cfg):
-    """Solve method ``m`` on the prefix; returns (first_stage, trsocp_solution)."""
+def solve(p, cfg=None, cones=()) -> Solution:
+    """Solve ``p`` by the engine it needs: the cone cut loop when cone rows
+    are given, HiGHS MIP when ``p`` carries integrality marks, else HiGHS LP."""
+    if cones:
+        return solve_cone(p, cones, cfg)
+    if p.any_integer():
+        return solve_mip(p, cfg)
+    return solve_lp(p, cfg)
+
+
+def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
+    """Solve the first-stage model of ``method`` on scenarios ``scens``; the
+    robust models m2/m3 use ``box``, the cone models m3-m5 radius ``omega``."""
     if method == "m1":
-        p = build_sp(inst, prefix, relax)
-        sol = solve_lp(p, cfg) if relax else solve_mip(p, cfg)
-    elif method == "m2":
-        p = build_ro_box(inst, box, relax)
-        sol = solve_lp(p, cfg) if relax else solve_mip(p, cfg)
-    elif method == "m3":
+        return solve(build_sp(inst, scens, relax), cfg)
+    if method == "m2":
+        return solve(build_ro_box(inst, box, relax), cfg)
+    if method == "m3":
         p, cone = build_ro_ell(inst, box, EllipseParams(omega))
-        sol = solve_cone(p, cone, cfg)
-    elif method in ("m4", "m5"):
-        p, cones = build_trsocp(inst, prefix, omega)
-        sol = solve_cone(p, cones, cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if not sol.optimal:
-        return None, sol
-    return extract_first_stage(inst, sol), sol
+        return solve(p, cfg, [cone])
+    if method in ("m4", "m5"):
+        p, cones = build_trsocp(inst, scens, omega)
+        return solve(p, cfg, cones)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
-    """Optimal cost of the fixed-booking recourse problem; inf if infeasible."""
-    p = build_recourse(inst, x_star, d, b, relax)
-    sol = solve_lp(p, cfg) if relax else solve_mip(p, cfg)
-    return _objective_or_inf(sol)
+    """Realized cost of a booking at demand ``d`` and cost ``b``, inf if
+    infeasible: an m5 booking (with a ``hull``) by its hull decision rule,
+    any other by the optimal fixed-booking recourse."""
+    if isinstance(x_star, FirstStage) and x_star.hull is not None:
+        return _price_m5(inst, x_star, d, b)
+    return _objective_or_inf(solve(build_recourse(inst, x_star, d, b, relax),
+                                   cfg))
 
 
-def _price_m5(inst, trsocp_sol, fs, prefix_demands, d, b) -> float:
+def _price_m5(inst, fs, d, b) -> float:
     """Realized cost of an m5 booking whose adjustables follow the hull
     decision rule at demand ``d``; inf when ``d`` lies outside the hull of
-    ``prefix_demands``."""
+    the booking's scenario demands."""
+    prefix_demands, trsocp_sol = fs.hull
     lam, phi = project_simplex_lsq(d, list(prefix_demands), tol=1e-12)
     try:
         y, z = recover_adjustable_m5(inst, trsocp_sol, lam, phi, d)
@@ -134,30 +143,28 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
     b_next = scens.costs[tau]
 
     cells, times, stages = {}, {}, {}
-    trsocp_sol = None
-    trsocp_fs = None
+    trsocp = None  # (solution, booking), solved once for m4 and m5
     for m in methods:
         t0 = time.perf_counter()
-        if m in ("m4", "m5") and trsocp_sol is not None:
-            fs, sol = trsocp_fs, trsocp_sol
+        if m in ("m4", "m5") and trsocp is not None:
+            sol, fs = trsocp
         else:
-            fs, sol = _solve_first_stage(inst, m, prefix, box, omega, relax, cfg)
+            sol = solve_method(inst, m, prefix, box, omega, relax, cfg)
+            fs = extract_first_stage(inst, sol) if sol.optimal else None
             if m in ("m4", "m5"):
-                trsocp_sol, trsocp_fs = sol, fs
+                trsocp = sol, fs
         if fs is None:
             cells[m] = math.inf
             times[m] = time.perf_counter() - t0
             continue
-        stages[m] = fs
         if m == "m5":
-            cells[m] = _price_m5(inst, sol, fs, prefix.demands, d_next, b_next)
-        else:
-            cells[m] = evaluate_recourse(inst, fs, d_next, b_next, relax, cfg)
+            fs = replace(fs, hull=(prefix.demands, sol))
+        stages[m] = fs
+        cells[m] = evaluate_recourse(inst, fs, d_next, b_next, relax, cfg)
         times[m] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ws_p = build_ws(inst, d_next, b_next, relax)
-    ws_sol = solve_lp(ws_p, cfg) if relax else solve_mip(ws_p, cfg)
+    ws_sol = solve(build_ws(inst, d_next, b_next, relax), cfg)
     cells["ws"] = _objective_or_inf(ws_sol)
     times["ws"] = time.perf_counter() - t0
     return tau, cells, times, stages
@@ -193,7 +200,7 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
              cost_dev_from_sigma, sigma) for tau in taus]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_compare_tau_star, args))
+            results = list(pool.map(_compare_tau, *zip(*args)))
     else:
         results = [_compare_tau(*a) for a in args]
     for tau, cells, times, stages in sorted(results):  # ordered merge by tau
@@ -204,10 +211,6 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
         for col, fs in stages.items():
             report.first_stages[(col, tau)] = fs
     return report
-
-
-def _compare_tau_star(args):
-    return _compare_tau(*args)
 
 
 def compute_evpi(sp_value: float, ws_values, probs=None) -> float:
@@ -253,20 +256,20 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
     entries = []
     for n in s_list:
         sub = ScenarioSet(demands[:n], costs[:n], dest_ids=scens.dest_ids)
-        sol = solve_lp(build_sp(inst, sub, relax=True), cfg)
+        sol = solve(build_sp(inst, sub, relax=True), cfg)
         entries.append((n, _objective_or_inf(sol)))
     return StabilityCurve(entries=entries, seed=seed)
 
 
 def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
                            gamma, sigma: float, d_bar, b_bar,
-                           m5_data=None, cfg: SolverConfig | None = None):
+                           cfg: SolverConfig | None = None):
     """Aggregate recourse cost per method over ``n`` sampled realizations.
 
     ``first_stages`` maps method column -> {tau: FirstStage}; the aggregate is
-    the sum over tau of the mean evaluated cost over the draws. ``m5_data``
-    maps tau -> (prefix demand matrix, trsocp solution, FirstStage); any draw
-    outside the hull makes the m5 aggregate inf."""
+    the sum over tau of the mean evaluated cost over the draws, each priced by
+    :func:`evaluate_recourse`. Any infeasible draw, or for m5 any draw outside
+    the hull, makes the aggregate inf."""
     if n == 0:
         return {}
     cfg = cfg or SolverConfig()
@@ -282,23 +285,12 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
     for method, per_tau in first_stages.items():
         total = 0.0
         for tau, fs in sorted(per_tau.items()):
-            if method == "m5":
-                if m5_data is None or tau not in m5_data:
-                    total = math.inf
+            acc = 0.0
+            for i in range(n):
+                acc += evaluate_recourse(inst, fs, ds[i], bs[i], True, cfg)
+                if math.isinf(acc):
                     break
-                prefix_demands, trsocp_sol, fs5 = m5_data[tau]
-                acc = 0.0
-                for i in range(n):
-                    acc += _price_m5(inst, trsocp_sol, fs5, prefix_demands,
-                                    ds[i], bs[i])
-                    if math.isinf(acc):
-                        break
-                total += acc / n if math.isfinite(acc) else math.inf
-            else:
-                acc = 0.0
-                for i in range(n):
-                    acc += evaluate_recourse(inst, fs, ds[i], bs[i], True, cfg)
-                total += acc / n
+            total += acc / n
             if math.isinf(total):
                 break
         out[method] = total
@@ -309,7 +301,9 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
                       d_bar, b_bar, cfg: SolverConfig | None = None):
     """Single extreme evaluation per method at demand d_bar (1 + gamma) and
     cost b_bar (1 + sigma), using each method's most informed booking (the
-    largest tau), plus the wait-and-see cost of that scenario."""
+    largest tau), plus the wait-and-see cost of that scenario. Bookings are
+    priced by :func:`evaluate_recourse`, so an m5 booking follows its hull
+    decision rule (inf when the extreme demand lies outside the hull)."""
     cfg = cfg or SolverConfig()
     d_bar = np.asarray(d_bar, dtype=float)
     b_bar = np.asarray(b_bar, dtype=float)
@@ -321,6 +315,6 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
         tau = max(per_tau)
         out[method] = evaluate_recourse(inst, per_tau[tau], d_ext, b_ext,
                                         True, cfg)
-    ws_sol = solve_lp(build_ws(inst, d_ext, b_ext, relax=True), cfg)
+    ws_sol = solve(build_ws(inst, d_ext, b_ext, relax=True), cfg)
     out["ws"] = _objective_or_inf(ws_sol)
     return out

@@ -104,9 +104,6 @@ class LinearProblem:
             raise ValueError("non-finite right hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
 
-    def has_var(self, name: str) -> bool:
-        return name in self._index
-
     @property
     def num_vars(self) -> int:
         return len(self.var_names)

@@ -72,10 +72,12 @@ def test_solve_cone_requires_radius(data_dir, tmp_path):
     assert rc == 1
 
 
-def test_omega_epsilon_mutually_exclusive(data_dir, tmp_path):
+def test_omega_epsilon_mutually_exclusive(data_dir, tmp_path, capsys):
     rc = main(["solve", "--model", "ro-ell", "--omega", "1", "--epsilon",
                "0.1"] + _common(data_dir, tmp_path))
     assert rc == 1
+    assert "error: --omega and --epsilon are mutually exclusive" in \
+        capsys.readouterr().err
 
 
 def test_ws_scenario_out_of_range(data_dir, tmp_path):
@@ -160,6 +162,19 @@ def test_montecarlo_csv(data_dir, tmp_path):
     rc = main(["montecarlo", "--n", "0"] + _common(data_dir, tmp_path))
     assert rc == 0
     assert (tmp_path / "montecarlo.csv").read_text() == "method,cost\n"
+
+
+def test_montecarlo_prices_m5_by_hull_rule(tmp_path):
+    assert main(["gen", "--suppliers", "6", "--destinations", "2",
+                 "--scenarios", "30", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    rc = main(["montecarlo", "--n", "3", "--sbar", "28",
+               "--methods", "m1,m4,m5"] + _common(tmp_path, tmp_path))
+    assert rc == 0
+    rows = dict(line.split(",") for line in
+                (tmp_path / "montecarlo.csv").read_text().splitlines()[1:])
+    assert rows["m5"] != "inf"
+    assert float(rows["m5"]) >= float(rows["m4"])
 
 
 def test_evpi_prints_value(data_dir, tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import supplyplan as sp
+from supplyplan import framework
+from supplyplan.cone import ConeRow
 
 import helpers
 
@@ -147,3 +149,54 @@ def test_stress_worst_case(tight, small_report):
                                [90.0, 110.0], [7.0, 9.0])
     assert set(out) == {"m1", "m2", "ws"}
     assert out["ws"] <= min(out["m1"], out["m2"]) + 1e-6
+
+
+def _knapsack(integer):
+    p = sp.LinearProblem()
+    for name, v in (("a", -5.0), ("b", -4.0), ("c", -3.0)):
+        p.add_var(name, obj=v, ub=1.0, integer=integer)
+    p.add_row({"a": 2.0, "b": 3.0, "c": 1.0}, "<=", 5.0)
+    return p
+
+
+def _same(a, b):
+    return (a.status, a.objective, a.values) == (b.status, b.objective, b.values)
+
+
+def test_solve_dispatches_on_the_problem(cfg, monkeypatch):
+    mip = _knapsack(integer=True)
+    assert _same(framework.solve(mip, cfg), sp.solve_mip(mip, cfg))
+    assert framework.solve(mip, cfg).objective == pytest.approx(-9.0)
+
+    p = sp.LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    p.add_var("x", lb=None)
+    p.add_row({"x": 1.0}, "==", -3.0)
+    cone = ConeRow("w", {}, [{"x": 1.0}], scale=2.0)
+    assert _same(framework.solve(p, cfg, [cone]), sp.solve_cone(p, cone, cfg))
+    assert framework.solve(p, cfg, [cone]).objective == pytest.approx(6.0)
+
+    def no_mip(*args):
+        raise AssertionError("an LP must not pass through solve_mip")
+    monkeypatch.setattr(framework, "solve_mip", no_mip)
+    lp = _knapsack(integer=False)
+    assert _same(framework.solve(lp, cfg), sp.solve_lp(lp, cfg))
+    assert framework.solve(lp, cfg).objective < -9.0
+
+
+def test_m5_booking_carries_its_hull_rule():
+    inst = sp.gen_instance(6, 2, seed=0)
+    scens = sp.gen_scenarios(inst, 30, seed=1)
+    report = sp.run_comparison(inst, scens, sbar=26, methods=["m4", "m5"])
+    finite = 0
+    for tau in report.taus:
+        m4 = report.first_stages[("m4", tau)]
+        m5 = report.first_stages[("m5", tau)]
+        assert m4.hull is None and m5.hull is not None and m4 is not m5
+        assert m5.x == m4.x
+        v = sp.evaluate_recourse(inst, m5, scens.demands[tau],
+                                 scens.costs[tau])
+        assert v == report.cost("m5", tau)  # bit-for-bit, inf included
+        finite += math.isfinite(v)
+    assert finite >= 1
+
