@@ -21,7 +21,7 @@ from .linprog import (LinearProblem, Solution, SolverConfig, Status, solve_lp)
 from .mip import solve_mip
 from .model import (Arc, Destination, Instance, Supplier, booking_cost,
                     recourse_cost, total_cost)
-from .projection import project_simplex, project_simplex_lsq
+from .projection import project_simplex_lsq
 from .rng import Stream
 from .uncertainty import (BoxParams, EllipseParams, ScenarioSet, demand_gamma,
                           estimate_box, load_scenarios, omega_for_epsilon,
@@ -39,7 +39,7 @@ __all__ = [
     "compute_evpi", "demand_gamma", "estimate_box", "evaluate_recourse",
     "extract_first_stage", "gen_instance", "gen_scenarios",
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
-    "omega_for_epsilon", "project_simplex", "project_simplex_lsq",
+    "omega_for_epsilon", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
     "sample_demands_mc", "save_scenarios", "solve_cone", "solve_lp",
     "solve_mip", "stress_worst_case", "total_cost",

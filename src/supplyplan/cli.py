@@ -1,7 +1,8 @@
 """Command-line surface: solve, compare, gen, stability, montecarlo, evpi.
 
 Every command is deterministic given its flags and --seed. Exit codes:
-0 solved/ok, 1 configuration error, 2 infeasible, 3 iteration/node/cut limit.
+0 solved/ok, 1 configuration error, 2 infeasible, 3 iteration/node/cut limit,
+4 solver failure (a backend error or an iteration cap that raises).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import Instance
 from .uncertainty import (estimate_box, demand_gamma, load_scenarios,
                           omega_for_epsilon, sample_costs, save_scenarios)
 
-EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_LIMIT = 0, 1, 2, 3
+EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_SOLVER = 0, 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,9 +205,7 @@ def cmd_compare(args) -> int:
             if col != "ws" and col not in methods:
                 continue
             for tau in report.taus:
-                v = report.cells[(col, tau)]
-                cell = "inf" if math.isinf(v) else f"{v:.6f}"
-                fh.write(f"{tau},{col},{cell}\n")
+                fh.write(f"{tau},{col},{report.cells[(col, tau)]:.6f}\n")
     print(f"report written to {out_dir / 'report.csv'}")
     return EXIT_OK
 
@@ -273,8 +272,7 @@ def cmd_montecarlo(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,cost\n")
         for m in methods:
-            v = results.get(m, math.inf)
-            fh.write(f"{m},{'inf' if math.isinf(v) else f'{v:.6f}'}\n")
+            fh.write(f"{m},{results.get(m, math.inf):.6f}\n")
     print(f"monte carlo results written to {path}")
     return EXIT_OK
 
@@ -309,6 +307,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -53,17 +53,13 @@ class ComparisonReport:
         out.write("tau," + ",".join(ALL_COLUMNS) + "\n")
         active = set(self.methods) | {"ws"}
         for tau in self.taus:
-            cells = [_fmt(self.cells[(c, tau)]) if c in active else ""
+            cells = [f"{self.cells[(c, tau)]:.6f}" if c in active else ""
                      for c in ALL_COLUMNS]
             out.write(f"{tau}," + ",".join(cells) + "\n")
-        aggs = [_fmt(self.aggregate(c)) if c in active else ""
+        aggs = [f"{self.aggregate(c):.6f}" if c in active else ""
                 for c in ALL_COLUMNS]
         out.write("aggregate," + ",".join(aggs) + "\n")
         return out.getvalue()
-
-
-def _fmt(v: float) -> str:
-    return "inf" if math.isinf(v) else f"{v:.6f}"
 
 
 @dataclass
@@ -120,7 +116,11 @@ def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
 def _price_m5(inst, fs, d, b) -> float:
     """Realized cost of an m5 booking whose adjustables follow the hull
     decision rule at demand ``d``; inf when ``d`` lies outside the hull of
-    the booking's scenario demands."""
+    the booking's scenario demands.
+
+    Purchases cover any shortfall the rule leaves: a demand the tolerance
+    accepts just outside the hull gets the rule of its projection, which
+    under-covers ``d``."""
     prefix_demands, trsocp_sol = fs.hull
     lam, phi = project_simplex_lsq(d, list(prefix_demands), tol=1e-12)
     try:
@@ -129,6 +129,10 @@ def _price_m5(inst, fs, d, b) -> float:
         return math.inf
     # numeric guard: the combination satisfies z <= x up to LP tol
     z = {k: min(v, fs.x.get(k, 0.0)) for k, v in z.items()}
+    for dest, d_j in zip(inst.destinations, np.asarray(d, dtype=float)):
+        covered = inst.q * (sum(z[a.key] for a in inst.arcs_to(dest.id))
+                            + y[dest.id])
+        y[dest.id] += max(0.0, d_j - dest.l0 - covered) / inst.q
     return booking_cost(inst, fs.x) + recourse_cost(inst, fs.x, y, z, b)
 
 

@@ -123,29 +123,6 @@ class LinearProblem:
         dup.objective_offset = self.objective_offset
         return dup
 
-    # -- evaluation helpers ------------------------------------------------
-
-    def eval_expr(self, coeffs: dict[str, float], values: dict[str, float]) -> float:
-        return sum(c * values.get(n, 0.0) for n, c in coeffs.items())
-
-    def eval_objective(self, values: dict[str, float]) -> float:
-        total = self.objective_offset
-        for name, c in zip(self.var_names, self.obj):
-            total += c * values.get(name, 0.0)
-        return total
-
-    def max_row_violation(self, values: dict[str, float]) -> float:
-        worst = 0.0
-        for coeffs, rel, rhs in self.rows:
-            lhs = self.eval_expr(coeffs, values)
-            if rel == LE:
-                worst = max(worst, lhs - rhs)
-            elif rel == GE:
-                worst = max(worst, rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - rhs))
-        return worst
-
 
 def _to_scipy(p: LinearProblem):
     n = p.num_vars

@@ -1,93 +1,46 @@
 """Least-squares projection onto the convex hull of a set of vectors.
 
-Minimizes ``||target - sum_s lam_s * col_s||^2`` over the unit simplex with
-away-step conditional gradient iterations. The step length starts from the
-exact quadratic minimizer clipped to the feasible segment and is backtracked
-until the Armijo condition holds.
+Minimizes ``||C lam - d||^2`` over the unit simplex, where the columns of
+``C`` are the vectors and ``d`` the target, by one nonnegative least-squares
+solve (Lawson & Hanson's active-set method, ``scipy.optimize.nnls``).
+
+The reduction is exact. With ``P = C - d 1^T`` solve
+
+    min_{mu >= 0} ||[P; 1^T] mu - [0; 1]||^2.
+
+Write ``mu = s * lam`` with ``lam`` on the simplex; the value is
+``s^2 ||P lam||^2 + (s - 1)^2``. For a fixed ``lam`` it is smallest at
+``s = 1 / (1 + ||P lam||^2)``, where it equals
+``||P lam||^2 / (1 + ||P lam||^2)``, increasing in ``||P lam||^2``. Since
+``P lam = C lam - d`` on the simplex, ``lam* = mu* / sum(mu*)`` is a nearest
+point's weights and ``phi = ||C lam* - d||^2``. Where the nearest point has
+several representations (a target inside the hull of more than ``D + 1``
+vectors), the active set returns a basic one, with at most ``D + 1`` nonzero
+weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_ARMIJO_C1 = 1e-4
-_MAX_ITERS = 10_000
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
+from scipy.optimize import nnls
 
 
 def project_simplex_lsq(target, columns, tol: float = 1e-10):
     """Return ``(lam, phi)`` with ``lam`` on the simplex and ``phi`` the squared
     distance from ``target`` to the combination ``sum lam_s columns[s]``.
 
-    Convergence is declared when the projected-gradient norm
-    ``||lam - P_simplex(lam - grad)||`` drops below ``tol``.
+    The active-set solve is exact to rounding; ``tol`` is accepted for
+    callers that pass it and is not used. An iteration cap of the solve
+    raises its ``RuntimeError``.
     """
     d = np.asarray(target, dtype=float)
     C = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     if C.shape[0] != d.size:
         raise ValueError("columns must have the same dimension as target")
-    S = C.shape[1]
-    if S == 1:
-        lam = np.array([1.0])
-        return lam, float(np.sum((d - C[:, 0]) ** 2))
-
-    lam = np.full(S, 1.0 / S)
-
-    def value(l):
-        r = C @ l - d
-        return float(r @ r)
-
-    f = value(lam)
-    for _ in range(_MAX_ITERS):
-        grad = 2.0 * (C.T @ (C @ lam - d))
-        if np.linalg.norm(lam - project_simplex(lam - grad)) <= tol:
-            break
-
-        i_fw = int(np.argmin(grad))
-        support = np.nonzero(lam > 1e-15)[0]
-        i_aw = int(support[np.argmax(grad[support])])
-
-        d_fw = -lam.copy()
-        d_fw[i_fw] += 1.0
-        g_fw = float(grad @ d_fw)
-        d_aw = lam.copy()
-        d_aw[i_aw] -= 1.0
-        g_aw = float(grad @ d_aw)
-
-        if g_fw <= g_aw:
-            direction, step_max = d_fw, 1.0
-        else:
-            denom = 1.0 - lam[i_aw]
-            if denom <= 1e-15:
-                direction, step_max = d_fw, 1.0
-            else:
-                direction, step_max = d_aw, lam[i_aw] / denom
-
-        slope = float(grad @ direction)
-        if slope >= 0.0:
-            break
-        Cd = C @ direction
-        curv = float(Cd @ Cd)
-        step = step_max if curv <= 0 else min(step_max, -slope / (2.0 * curv))
-        while step > 1e-18:
-            cand = lam + step * direction
-            f_cand = value(cand)
-            if f_cand <= f + _ARMIJO_C1 * step * slope:
-                lam, f = cand, f_cand
-                break
-            step *= 0.5
-        else:
-            break
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
-
-    return lam, value(lam)
+    A = np.vstack([C - d[:, None], np.ones(C.shape[1])])
+    rhs = np.zeros(A.shape[0])
+    rhs[-1] = 1.0
+    mu, _ = nnls(A, rhs)
+    lam = mu / mu.sum()
+    r = C @ lam - d
+    return lam, float(r @ r)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import supplyplan as sp
+from supplyplan import framework
 from supplyplan.cli import main
 
 import helpers
@@ -56,6 +57,16 @@ def test_solve_models(data_dir, tmp_path, model, capsys):
     assert doc["objective"] is not None
     assert doc["x"]
     assert "objective=" in capsys.readouterr().out
+
+
+def test_solver_failure_exits_four(data_dir, tmp_path, monkeypatch, capsys):
+    def fail(p, cfg=None):
+        raise RuntimeError("LP backend failure: injected")
+
+    monkeypatch.setattr(framework, "solve_lp", fail)
+    rc = main(["solve", "--model", "sp"] + _common(data_dir, tmp_path))
+    assert rc == 4
+    assert "error: LP backend failure: injected" in capsys.readouterr().err
 
 
 def test_solve_cone_models(data_dir, tmp_path):

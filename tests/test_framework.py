@@ -200,3 +200,27 @@ def test_m5_booking_carries_its_hull_rule():
         finite += math.isfinite(v)
     assert finite >= 1
 
+
+
+def test_m5_covers_demand_the_tolerance_lets_through():
+    # the third Monte Carlo draw of ``montecarlo --sbar 28`` on this instance
+    # lies outside the hull but inside PHI_ZERO_TOL; the rule of its
+    # projection alone under-covers it and undercut the optimal recourse
+    inst = sp.gen_instance(6, 2, seed=0)
+    scens = sp.gen_scenarios(inst, 30, seed=1)
+    report = sp.run_comparison(inst, scens, sbar=28, methods=["m4", "m5"])
+    d_bar = scens.demands.mean(axis=0)
+    gamma = sp.demand_gamma(scens)
+    b_bar = scens.costs.mean(axis=0)
+    stream = sp.Stream(0)
+    ds = stream.uniform_matrix(np.maximum(d_bar * (1 - gamma), 0.0),
+                               d_bar * (1 + gamma), 3)
+    bs = stream.uniform_matrix(b_bar * 0.8, b_bar * 1.2, 3)
+    d, b = ds[2], bs[2]
+    m4 = report.first_stages[("m4", 28)]
+    m5 = report.first_stages[("m5", 28)]
+    _, phi = sp.project_simplex_lsq(d, list(m5.hull[0]))
+    assert 0.0 < phi <= sp.PHI_ZERO_TOL * (float(d @ d) + 1.0)
+    m5_cost = sp.evaluate_recourse(inst, m5, d, b)
+    assert math.isfinite(m5_cost)
+    assert m5_cost >= sp.evaluate_recourse(inst, m4, d, b)

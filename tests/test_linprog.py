@@ -81,14 +81,6 @@ def test_validation_errors():
         p.add_row({"x": 1.0}, "<=", float("inf"))
 
 
-def test_eval_helpers():
-    p = _simple_problem()
-    vals = {"x": 1.0, "y": 5.0}
-    assert p.eval_objective(vals) == pytest.approx(-11.0)
-    assert p.max_row_violation(vals) == pytest.approx(1.0)
-    assert p.max_row_violation({"x": 1.0, "y": 1.0}) == 0.0
-
-
 def test_copy_is_independent(cfg):
     p = _simple_problem()
     q = p.copy()

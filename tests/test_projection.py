@@ -1,35 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from supplyplan import project_simplex, project_simplex_lsq
+import supplyplan as sp
+from supplyplan import project_simplex_lsq
 
 
 def _on_simplex(v, tol=1e-9):
     return np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol
-
-
-def test_project_simplex_known_cases():
-    assert np.allclose(project_simplex(np.array([0.3, 0.7])), [0.3, 0.7])
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(project_simplex(np.array([0.6, 0.6])), [0.5, 0.5])
-    assert np.allclose(project_simplex(np.array([-5.0, 1.0, -5.0])), [0, 1, 0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
-def test_project_simplex_properties(vals):
-    v = np.asarray(vals, dtype=float)
-    p = project_simplex(v)
-    assert _on_simplex(p)
-    # idempotence
-    assert np.allclose(project_simplex(p), p, atol=1e-9)
-    # variational inequality at the simplex vertices: (v - p) . (e_i - p) <= 0
-    for i in range(v.size):
-        e = np.zeros(v.size)
-        e[i] = 1.0
-        assert float((v - p) @ (e - p)) <= 1e-7
 
 
 def test_lsq_recovers_interior_point():
@@ -87,3 +64,17 @@ def test_lsq_matches_full_grid_on_three_points():
             pt = a * cols[0] + b * cols[1] + c * cols[2]
             best = min(best, float(np.sum((pt - target) ** 2)))
     assert phi <= best + 1e-4
+
+
+def test_lsq_returns_a_basic_solution():
+    # a point inside the hull of 30 scenario demands in 2 dimensions has many
+    # representations; the active-set solve returns one with at most D + 1
+    # nonzero weights
+    inst = sp.gen_instance(6, 2, seed=0)
+    C = sp.gen_scenarios(inst, 30, seed=1).demands
+    d = np.array([0.2, 0.5, 0.3]) @ C[[1, 4, 9]]
+    lam, phi = project_simplex_lsq(d, list(C), tol=1e-12)
+    assert _on_simplex(lam)
+    assert np.count_nonzero(lam) <= C.shape[1] + 1
+    assert np.abs(lam @ C - d).max() <= 1e-9
+    assert phi <= 1e-12
