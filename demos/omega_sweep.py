@@ -38,10 +38,10 @@ print(f"box counterpart (worst-corner cost): {box_val:12.2f}")
 
 print(f"{'omega':>8} {'eps bound':>10} {'ellipsoid':>12} {'adjustable':>12}")
 for omega in (0.0, 1.0, math.sqrt(2.0), 2.0, 2.75):
-    p, cone = sp.build_ro_ell(inst, box, sp.EllipseParams(omega))
-    ell = sp.solve_cone(p, cone, cfg).objective
-    p4, cones = sp.build_trsocp(inst, scens, omega)
-    tr = sp.solve_cone(p4, cones, cfg).objective
+    p = sp.build_ro_ell(inst, box, omega)
+    ell = sp.solve_cone(p, cfg).objective
+    p4 = sp.build_trsocp(inst, scens, omega)
+    tr = sp.solve_cone(p4, cfg).objective
     eps = math.exp(-omega ** 2 / 2.0)
     print(f"{omega:8.3f} {eps:10.4f} {ell:12.2f} {tr:12.2f}")
 

@@ -23,15 +23,15 @@ from .model import (Arc, Destination, Instance, Supplier, booking_cost,
                     recourse_cost, total_cost)
 from .projection import project_simplex_lsq
 from .rng import Stream
-from .uncertainty import (BoxParams, EllipseParams, ScenarioSet, demand_gamma,
-                          estimate_box, load_scenarios, omega_for_epsilon,
-                          sample_costs, sample_demands_mc, save_scenarios)
+from .uncertainty import (BoxParams, ScenarioSet, demand_gamma, estimate_box,
+                          load_scenarios, omega_for_epsilon, sample_costs,
+                          sample_demands_mc, save_scenarios)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arc", "ALL_COLUMNS", "BoxParams", "ComparisonReport", "ConeRow",
-    "Destination", "EllipseParams", "FirstStage", "Instance",
+    "Destination", "FirstStage", "Instance",
     "LinearProblem", "METHOD_COLUMNS", "PHI_ZERO_TOL",
     "PhiPositive", "ScenarioSet", "Solution", "SolverConfig", "StabilityCurve",
     "Status", "Stream", "Supplier", "booking_cost", "build_recourse",

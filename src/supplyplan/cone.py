@@ -1,4 +1,4 @@
-"""Second-order cone rows solved by outer approximation.
+"""Second-order cone rows of a problem solved by outer approximation.
 
 A cone row encodes ``epi - affine >= scale * ||(terms)||_2`` (membership of
 ``(epi - affine)/scale`` and the term vector in the Lorentz cone). The solver
@@ -59,22 +59,19 @@ def _cut_coeffs(cone: ConeRow, weights) -> dict[str, float]:
     return coeffs
 
 
-def solve_cone(p: LinearProblem, cone, cfg: SolverConfig | None = None) -> Solution:
-    """Solve ``p`` subject to one or more cone rows (continuous only)."""
+def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
+    """Solve ``p`` subject to its cone rows (continuous only)."""
     cfg = cfg or SolverConfig()
     if p.any_integer():
         raise ValueError("cone problems are solved in continuous variables only")
-    cones = [cone] if isinstance(cone, ConeRow) else list(cone)
 
     work = p.copy()
-    n_terms = 0
-    for c in cones:
+    for c in p.cones:
         if c.scale == 0.0 or not c.cone_terms:
             # degenerate cone: plain linear row epi >= affine
             work.add_row(_cut_coeffs(c, [0.0] * len(c.cone_terms)), ">=", 0.0)
             continue
         L = len(c.cone_terms)
-        n_terms += L
         for l in range(L):
             for sign in (1.0, -1.0):
                 w = [0.0] * L
@@ -84,7 +81,7 @@ def solve_cone(p: LinearProblem, cone, cfg: SolverConfig | None = None) -> Solut
         # are active at once
         work.add_row(_cut_coeffs(c, [1.0 / math.sqrt(L)] * L), ">=", 0.0)
 
-    live = [c for c in cones if c.scale > 0.0 and c.cone_terms]
+    live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
     sol = solve_lp(work, cfg)
     if not sol.optimal or not live:
         return sol

@@ -12,15 +12,15 @@ Methods:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .cone import ConeRow
 from .linprog import LinearProblem, Solution
-from .model import (ArcKey, Instance, booking_cost, first_stage_rows,
-                    second_stage_rows, x_name, y_name, z_name)
-from .uncertainty import BoxParams, EllipseParams, ScenarioSet, estimate_box
+from .model import (ArcKey, Instance, _as_demand, booking_cost,
+                    first_stage_rows, second_stage_rows, x_name, y_name,
+                    z_name)
+from .uncertainty import BoxParams, ScenarioSet, estimate_box
 
 PHI_ZERO_TOL = 1e-6  # relative to ||d||^2 + 1
 
@@ -45,12 +45,13 @@ def extract_first_stage(inst: Instance, sol: Solution) -> FirstStage:
 def _objective_coeffs(p: LinearProblem, inst: Instance, b, weight: float = 1.0,
                       tag=None):
     """Add the recourse part of f (buying plus cancellation refund on z) for
-    one scenario block, scaled by ``weight``."""
-    b = np.asarray(b, dtype=float)
+    one scenario block, scaled by ``weight``; ``b`` is a vector or a
+    destination -> cost map."""
+    b = _as_demand(inst, b)
     for a in inst.arcs:
         p.add_obj(z_name(a, tag), weight * inst.alpha * inst.q * a.t)
-    for dest, bj in zip(inst.destinations, b):
-        p.add_obj(y_name(dest.id, tag), weight * inst.q * float(bj))
+    for dest in inst.destinations:
+        p.add_obj(y_name(dest.id, tag), weight * inst.q * b[dest.id])
 
 
 def _first_stage_obj(p: LinearProblem, inst: Instance, prob_total: float = 1.0):
@@ -62,14 +63,12 @@ def _first_stage_obj(p: LinearProblem, inst: Instance, prob_total: float = 1.0):
 def build_sp(inst: Instance, scens: ScenarioSet, relax: bool = True) -> LinearProblem:
     """Two-stage stochastic program: first-stage booking plus probability
     weighted recourse blocks, one (y^s, z^s) block per scenario."""
-    if scens.S < 1:
-        raise ValueError("scenario set is empty")
     if scens.costs is None:
         raise ValueError("stochastic program needs cost realizations")
     p = LinearProblem()
-    first_stage_rows(inst, relax).apply(p)
+    first_stage_rows(p, inst, relax)
     for s in range(scens.S):
-        second_stage_rows(inst, scens.demands[s], relax, tag=s).apply(p)
+        second_stage_rows(p, inst, scens.demands[s], relax, tag=s)
         _objective_coeffs(p, inst, scens.costs[s], weight=float(scens.probs[s]),
                           tag=s)
     _first_stage_obj(p, inst, prob_total=float(scens.probs.sum()))
@@ -79,22 +78,34 @@ def build_sp(inst: Instance, scens: ScenarioSet, relax: bool = True) -> LinearPr
 def build_ws(inst: Instance, d, b, relax: bool = True) -> LinearProblem:
     """Deterministic problem with full knowledge of one realization."""
     p = LinearProblem()
-    first_stage_rows(inst, relax).apply(p)
-    second_stage_rows(inst, d, relax).apply(p)
+    first_stage_rows(p, inst, relax)
+    second_stage_rows(p, inst, d, relax)
     _first_stage_obj(p, inst)
     _objective_coeffs(p, inst, b)
     return p
 
 
-def _worst_case_row(p: LinearProblem, inst: Instance, b_nominal) -> dict[str, float]:
-    """Coefficients of w - f(x, y, z; b_nominal) as a sparse map."""
-    coeffs = {"w": 1.0}
+def _nominal_cost(inst: Instance, b, tag=None) -> dict[str, float]:
+    """Coefficients of f(x, y, z; b) for the recourse block ``tag``: booking
+    net of the full refund, the refund given back on used vehicles, and
+    purchases at cost ``b``."""
+    coeffs = {}
     for a in inst.arcs:
-        coeffs[x_name(a)] = -inst.q * a.t * (1.0 - inst.alpha)
-        coeffs[z_name(a)] = -inst.alpha * inst.q * a.t
-    for dest, bj in zip(inst.destinations, np.asarray(b_nominal, float)):
-        coeffs[y_name(dest.id)] = -inst.q * float(bj)
+        coeffs[x_name(a)] = inst.q * a.t * (1.0 - inst.alpha)
+        coeffs[z_name(a, tag)] = inst.alpha * inst.q * a.t
+    for dest, bj in zip(inst.destinations, np.asarray(b, float)):
+        coeffs[y_name(dest.id, tag)] = inst.q * float(bj)
     return coeffs
+
+
+def _cost_cone(inst: Instance, box: BoxParams, omega: float,
+               tag=None) -> ConeRow:
+    """Cone row w - f(x, y, z; b_nominal) >= omega * ||q b_dev . y|| of the
+    recourse block ``tag``."""
+    terms = [{y_name(dest.id, tag): inst.q * float(dev)}
+             for dest, dev in zip(inst.destinations, box.b_dev)]
+    return ConeRow("w", _nominal_cost(inst, box.b_nominal, tag), terms,
+                   scale=float(omega))
 
 
 def build_ro_box(inst: Instance, box: BoxParams, relax: bool = True) -> LinearProblem:
@@ -103,60 +114,42 @@ def build_ro_box(inst: Instance, box: BoxParams, relax: bool = True) -> LinearPr
     upper box corner."""
     p = LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(inst, relax).apply(p)
-    second_stage_rows(inst, box.d_corner, relax).apply(p)
-    coeffs = _worst_case_row(p, inst, box.b_nominal)
+    first_stage_rows(p, inst, relax)
+    second_stage_rows(p, inst, box.d_corner, relax)
+    coeffs = {"w": 1.0}
+    for name, c in _nominal_cost(inst, box.b_nominal).items():
+        coeffs[name] = -c
     for dest, dev in zip(inst.destinations, box.b_dev):
         coeffs[y_name(dest.id)] -= inst.q * float(dev)
     p.add_row(coeffs, ">=", 0.0)
     return p
 
 
-def build_ro_ell(inst: Instance, box: BoxParams, ell: EllipseParams,
-                 relax: bool = True) -> tuple[LinearProblem, ConeRow]:
-    """Static robust counterpart with a cost ellipsoid: the worst-cost row
-    becomes the cone row w - f(x,y,z; b_nominal) >= omega * ||q b_dev . y||.
-    Continuous only."""
-    if not relax:
-        raise ValueError("the cone formulation is solved without integrality")
+def build_ro_ell(inst: Instance, box: BoxParams, omega: float) -> LinearProblem:
+    """Static robust counterpart with a cost ellipsoid of radius ``omega``:
+    the worst-cost row becomes the cone row
+    w - f(x,y,z; b_nominal) >= omega * ||q b_dev . y||. Continuous only."""
     p = LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(inst, True).apply(p)
-    second_stage_rows(inst, box.d_corner, True).apply(p)
-    affine = _worst_case_row(p, inst, box.b_nominal)
-    del affine["w"]
-    affine = {k: -v for k, v in affine.items()}  # f(x,y,z; b_nominal)
-    b_dev = box.b_dev if ell.b_dev is None else ell.b_dev
-    terms = [{y_name(dest.id): inst.q * float(dev)}
-             for dest, dev in zip(inst.destinations, b_dev)]
-    cone = ConeRow("w", affine, terms, scale=ell.omega)
-    return p, cone
+    first_stage_rows(p, inst, True)
+    second_stage_rows(p, inst, box.d_corner, True)
+    p.add_cone(_cost_cone(inst, box, omega))
+    return p
 
 
 def build_trsocp(inst: Instance, scens: ScenarioSet,
-                 omega: float) -> tuple[LinearProblem, list[ConeRow]]:
+                 omega: float) -> LinearProblem:
     """Tractable adjustable counterpart over the hull of the given scenarios:
     shared booking x, one (y^s, z^s) block and one cone row per scenario,
     demand of block s fixed at the scenario realization. Continuous."""
-    if scens.S < 1:
-        raise ValueError("scenario set is empty")
     box = estimate_box(scens, scens.S)
     p = LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(inst, True).apply(p)
-    cones = []
+    first_stage_rows(p, inst, True)
     for s in range(scens.S):
-        second_stage_rows(inst, scens.demands[s], True, tag=s).apply(p)
-        affine: dict[str, float] = {}
-        for a in inst.arcs:
-            affine[x_name(a)] = inst.q * a.t * (1.0 - inst.alpha)
-            affine[z_name(a, s)] = inst.alpha * inst.q * a.t
-        for dest, bj in zip(inst.destinations, box.b_nominal):
-            affine[y_name(dest.id, s)] = inst.q * float(bj)
-        terms = [{y_name(dest.id, s): inst.q * float(dev)}
-                 for dest, dev in zip(inst.destinations, box.b_dev)]
-        cones.append(ConeRow("w", affine, terms, scale=float(omega)))
-    return p, cones
+        second_stage_rows(p, inst, scens.demands[s], True, tag=s)
+        p.add_cone(_cost_cone(inst, box, omega, s))
+    return p
 
 
 def build_recourse(inst: Instance, x_star, d, b,
@@ -170,19 +163,8 @@ def build_recourse(inst: Instance, x_star, d, b,
         x_star = x_star.x
     x_star = dict(x_star)
     p = LinearProblem()
-    for a in inst.arcs:
-        cap = max(0.0, float(x_star.get(a.key, 0.0)))
-        p.add_var(z_name(a), obj=inst.alpha * inst.q * a.t, lb=0.0, ub=cap,
-                  integer=not relax)
-    bundle_rows = second_stage_rows(inst, d, relax)
-    for dest in inst.destinations:
-        p.add_var(y_name(dest.id), obj=inst.q * float(
-            (b[dest.id] if isinstance(b, Mapping)
-             else np.asarray(b, float)[inst.dest_ids.index(dest.id)])))
-    for coeffs, rel, rhs in bundle_rows.rows:
-        if any(n.startswith("x[") for n in coeffs):
-            continue  # z <= x coupling is handled via bounds
-        p.add_row(coeffs, rel, rhs)
+    second_stage_rows(p, inst, d, relax, booking=x_star)
+    _objective_coeffs(p, inst, b)
     p.objective_offset = (1.0 - inst.alpha) * booking_cost(inst, x_star)
     return p
 

@@ -27,7 +27,7 @@ from .mip import solve_mip
 from .model import Instance, booking_cost, recourse_cost
 from .projection import project_simplex_lsq
 from .rng import Stream
-from .uncertainty import EllipseParams, ScenarioSet, estimate_box, sample_costs
+from .uncertainty import ScenarioSet, estimate_box, sample_costs
 
 METHOD_COLUMNS = ["m1", "m2", "m3", "m4", "m5"]
 ALL_COLUMNS = METHOD_COLUMNS + ["ws"]
@@ -77,11 +77,12 @@ def _objective_or_inf(sol) -> float:
     return sol.objective if sol.optimal else math.inf
 
 
-def solve(p, cfg=None, cones=()) -> Solution:
-    """Solve ``p`` by the engine it needs: the cone cut loop when cone rows
-    are given, HiGHS MIP when ``p`` carries integrality marks, else HiGHS LP."""
-    if cones:
-        return solve_cone(p, cones, cfg)
+def solve(p, cfg=None) -> Solution:
+    """Solve ``p`` by the engine it needs: the cone cut loop when ``p``
+    carries cone rows, HiGHS MIP when it carries integrality marks, else
+    HiGHS LP."""
+    if p.cones:
+        return solve_cone(p, cfg)
     if p.any_integer():
         return solve_mip(p, cfg)
     return solve_lp(p, cfg)
@@ -90,17 +91,14 @@ def solve(p, cfg=None, cones=()) -> Solution:
 def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
     """Solve the first-stage model of ``method`` on scenarios ``scens``; the
     robust models m2/m3 use ``box``, the cone models m3-m5 radius ``omega``."""
-    if method == "m1":
-        return solve(build_sp(inst, scens, relax), cfg)
-    if method == "m2":
-        return solve(build_ro_box(inst, box, relax), cfg)
-    if method == "m3":
-        p, cone = build_ro_ell(inst, box, EllipseParams(omega))
-        return solve(p, cfg, [cone])
-    if method in ("m4", "m5"):
-        p, cones = build_trsocp(inst, scens, omega)
-        return solve(p, cfg, cones)
-    raise ValueError(f"unknown method {method!r}")
+    build = {"m1": lambda: build_sp(inst, scens, relax),
+             "m2": lambda: build_ro_box(inst, box, relax),
+             "m3": lambda: build_ro_ell(inst, box, omega),
+             "m4": lambda: build_trsocp(inst, scens, omega),
+             "m5": lambda: build_trsocp(inst, scens, omega)}
+    if method not in build:
+        raise ValueError(f"unknown method {method!r}")
+    return solve(build[method](), cfg)
 
 
 def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
@@ -241,6 +239,8 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
     All counts share one stream, so smaller samples are prefixes of larger
     ones (prefix-stable curves)."""
     s_list = list(s_list)
+    if not s_list or s_list[0] < 1:
+        raise ValueError("s_list must be a nonempty list of sizes >= 1")
     if s_list != sorted(set(s_list)):
         raise ValueError("s_list must be strictly increasing")
     cfg = cfg or SolverConfig()

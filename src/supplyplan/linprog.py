@@ -54,10 +54,12 @@ class Solution:
 
 
 class LinearProblem:
-    """Minimization problem over named variables with sparse linear rows.
+    """Minimization problem over named variables with sparse linear rows and
+    second-order cone rows.
 
     Variables default to lower bound 0 and no upper bound. Rows are
-    ``(coeffs, relation, rhs)`` with ``coeffs`` a name -> value map.
+    ``(coeffs, relation, rhs)`` with ``coeffs`` a name -> value map; cone
+    rows are :class:`supplyplan.cone.ConeRow` objects.
     """
 
     def __init__(self):
@@ -68,6 +70,7 @@ class LinearProblem:
         self.ub: list[float | None] = []
         self.integer: list[bool] = []
         self.rows: list[tuple[dict[str, float], str, float]] = []
+        self.cones: list = []
         self.objective_offset: float = 0.0
 
     # -- construction ------------------------------------------------------
@@ -104,6 +107,15 @@ class LinearProblem:
             raise ValueError("non-finite right hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
 
+    def add_cone(self, cone):
+        names = [cone.epigraph_var, *cone.affine_part]
+        names += [n for term in cone.cone_terms for n in term]
+        for name in names:
+            if name not in self._index:
+                raise ValueError(
+                    f"cone row references undeclared variable {name!r}")
+        self.cones.append(cone)
+
     @property
     def num_vars(self) -> int:
         return len(self.var_names)
@@ -120,6 +132,7 @@ class LinearProblem:
         dup.ub = list(self.ub)
         dup.integer = list(self.integer)
         dup.rows = [(dict(c), r, b) for c, r, b in self.rows]
+        dup.cones = list(self.cones)
         dup.objective_offset = self.objective_offset
         return dup
 
@@ -155,7 +168,8 @@ def _to_scipy(p: LinearProblem):
 
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
-    """Solve the continuous relaxation of ``p`` (integrality marks ignored)."""
+    """Solve the linear relaxation of ``p``: integrality marks and cone rows
+    are ignored."""
     cfg = cfg or SolverConfig()
     c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
     res = _scipy_linprog(

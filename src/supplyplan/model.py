@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+
+from .linprog import LinearProblem
 
 ArcKey = tuple[str, str, str]  # (supplier, plant, destination)
 
@@ -232,57 +234,46 @@ def total_cost(inst: Instance, x, y, z, b) -> float:
     return booking_cost(inst, x) + recourse_cost(inst, x, y, z, b)
 
 
-# -- row bundles -----------------------------------------------------------
+# -- constraint rows -------------------------------------------------------
 
-@dataclass
-class RowBundle:
-    """Variables and rows ready to be applied to a LinearProblem."""
-    variables: list[tuple[str, float, float | None, bool]] = field(
-        default_factory=list)  # (name, lb, ub, integer)
-    rows: list[tuple[dict[str, float], str, float]] = field(default_factory=list)
-
-    def apply(self, p):
-        for name, lb, ub, integer in self.variables:
-            p.add_var(name, lb=lb, ub=ub, integer=integer)
-        for coeffs, rel, rhs in self.rows:
-            p.add_row(coeffs, rel, rhs)
-
-
-def first_stage_rows(inst: Instance, relax: bool) -> RowBundle:
-    """Booking variables and the per-destination booking cap (C1)."""
-    bundle = RowBundle()
+def first_stage_rows(p: LinearProblem, inst: Instance, relax: bool):
+    """Add the booking variables and the per-destination booking cap (C1)
+    to ``p``."""
     for a in inst.arcs:
-        bundle.variables.append((x_name(a), 0.0, None, not relax))
+        p.add_var(x_name(a), integer=not relax)
     for dest in inst.destinations:
         coeffs = {x_name(a): inst.q for a in inst.arcs_to(dest.id)}
         if coeffs:
-            bundle.rows.append((coeffs, "<=", dest.g))
-    return bundle
+            p.add_row(coeffs, "<=", dest.g)
 
 
-def second_stage_rows(inst: Instance, d, relax: bool, tag=None) -> RowBundle:
-    """Usage/purchase variables with supplier capacity (C2), demand cover (C3)
-    and the z <= x coupling for one demand realization.
+def second_stage_rows(p: LinearProblem, inst: Instance, d, relax: bool,
+                      tag=None, booking: Mapping[ArcKey, float] | None = None):
+    """Add usage/purchase variables with supplier capacity (C2), demand cover
+    (C3) and the z <= x coupling for one demand realization to ``p``.
 
-    The C2 lower row is omitted when r_k = 0 (vacuous for nonnegative z).
+    With a fixed ``booking`` the coupling is the bound z <= x* instead of a
+    row, and no booking variable is referenced. The C2 lower row is omitted
+    when r_k = 0 (vacuous for nonnegative z).
     """
     demand = _as_demand(inst, d)
-    bundle = RowBundle()
     for a in inst.arcs:
-        bundle.variables.append((z_name(a, tag), 0.0, None, not relax))
+        cap = (None if booking is None
+               else max(0.0, float(booking.get(a.key, 0.0))))
+        p.add_var(z_name(a, tag), ub=cap, integer=not relax)
     for dest in inst.destinations:
-        bundle.variables.append((y_name(dest.id, tag), 0.0, None, False))
+        p.add_var(y_name(dest.id, tag))
     for s in inst.suppliers:
         coeffs = {z_name(a, tag): inst.q for a in inst.arcs_from(s.id)}
         if not coeffs:
             continue
-        bundle.rows.append((coeffs, "<=", s.v))
+        p.add_row(coeffs, "<=", s.v)
         if s.r > 0:
-            bundle.rows.append((dict(coeffs), ">=", s.r))
+            p.add_row(coeffs, ">=", s.r)
     for dest in inst.destinations:
         coeffs = {z_name(a, tag): inst.q for a in inst.arcs_to(dest.id)}
         coeffs[y_name(dest.id, tag)] = inst.q
-        bundle.rows.append((coeffs, ">=", demand[dest.id] - dest.l0))
-    for a in inst.arcs:
-        bundle.rows.append(({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0))
-    return bundle
+        p.add_row(coeffs, ">=", demand[dest.id] - dest.l0)
+    if booking is None:
+        for a in inst.arcs:
+            p.add_row({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0)

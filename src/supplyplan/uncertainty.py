@@ -23,6 +23,8 @@ class ScenarioSet:
 
     def __post_init__(self):
         self.demands = np.atleast_2d(np.asarray(self.demands, dtype=float))
+        if self.demands.size == 0:
+            raise ValueError("demand matrix is empty")
         if self.costs is not None:
             self.costs = np.atleast_2d(np.asarray(self.costs, dtype=float))
             if self.costs.shape != self.demands.shape:
@@ -81,19 +83,6 @@ class BoxParams:
     @property
     def d_corner(self) -> np.ndarray:
         return self.d_nominal + self.d_dev
-
-
-@dataclass
-class EllipseParams:
-    omega: float
-    b_dev: np.ndarray | None = None  # per-coordinate cone scales; falls back
-                                     # to the box deviations when omitted
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
-        if self.b_dev is not None:
-            self.b_dev = np.asarray(self.b_dev, dtype=float)
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:

@@ -54,8 +54,8 @@ def synthetic():
 @pytest.fixture(scope="module")
 def synthetic_trsocp(synthetic, cfg):
     inst, scens = synthetic
-    p, cones = sp.build_trsocp(inst, scens, 2.75)
-    sol = sp.solve_cone(p, cones, cfg)
+    p = sp.build_trsocp(inst, scens, 2.75)
+    sol = sp.solve_cone(p, cfg)
     assert sol.optimal
     return sol
 
@@ -132,8 +132,8 @@ def test_criterion_4_omega_structure(criterion, synthetic, synthetic_trsocp, cfg
 
         values = {}
         for omega in (0.0, 1.0, 2.75, 3.873):
-            p, cone = sp.build_ro_ell(inst, box, sp.EllipseParams(omega))
-            sol = sp.solve_cone(p, cone, cfg)
+            p = sp.build_ro_ell(inst, box, omega)
+            sol = sp.solve_cone(p, cfg)
             assert sol.optimal
             values[omega] = sol.objective
 
@@ -150,9 +150,8 @@ def test_criterion_4_omega_structure(criterion, synthetic, synthetic_trsocp, cfg
 
         # sqrt(15) radius dominates the box worst case
         box_val = sp.solve_lp(sp.build_ro_box(inst, box), cfg).objective
-        p, cone = sp.build_ro_ell(inst, box,
-                                  sp.EllipseParams(math.sqrt(15.0)))
-        sqrt15_val = sp.solve_cone(p, cone, cfg).objective
+        p = sp.build_ro_ell(inst, box, math.sqrt(15.0))
+        sqrt15_val = sp.solve_cone(p, cfg).objective
         assert sqrt15_val >= box_val - 1e-6 * max(1.0, abs(box_val))
 
         # the adjustable counterpart never exceeds the static one
@@ -261,8 +260,8 @@ def test_criterion_7_probability_bound(criterion, cfg):
         scens = helpers.tight_scens(n=12, seed=5)
         box = sp.estimate_box(scens, scens.S)
         omega = 2.75
-        p, cone = sp.build_ro_ell(inst, box, sp.EllipseParams(omega))
-        sol = sp.solve_cone(p, cone, cfg)
+        p = sp.build_ro_ell(inst, box, omega)
+        sol = sp.solve_cone(p, cfg)
         assert sol.optimal
         w = sol.objective
         y = np.array([sol.values[y_name(d.id)] for d in inst.destinations])

@@ -163,6 +163,15 @@ def test_stability_csv(data_dir, tmp_path):
     assert rc == 1
 
 
+def test_stability_empty_or_zero_size_is_config_error(data_dir, tmp_path,
+                                                      capsys):
+    for s_list in ("", "0"):
+        rc = main(["stability", "--s-list", s_list]
+                  + _common(data_dir, tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_montecarlo_csv(data_dir, tmp_path):
     rc = main(["montecarlo", "--n", "5", "--sbar", "6", "--methods", "m1"]
               + _common(data_dir, tmp_path))

@@ -78,8 +78,8 @@ def test_ro_box_zero_deviation_equals_ws_at_nominal(tight, tight_scens, cfg):
 
 def test_ro_ell_omega_zero_equals_nominal_cost_box(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens, tight_scens.S)
-    p, cone = sp.build_ro_ell(tight, box, sp.EllipseParams(0.0))
-    a = sp.solve_cone(p, cone, cfg).objective
+    p = sp.build_ro_ell(tight, box, 0.0)
+    a = sp.solve_cone(p, cfg).objective
     nominal = sp.BoxParams(box.d_nominal, box.d_dev, box.b_nominal,
                            np.zeros_like(box.b_dev))
     b = sp.solve_lp(sp.build_ro_box(tight, nominal), cfg).objective
@@ -91,23 +91,17 @@ def test_ro_ell_between_nominal_and_box(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens, tight_scens.S)
     box_val = sp.solve_lp(sp.build_ro_box(tight, box), cfg).objective
     omega = math.sqrt(tight_scens.D)
-    p, cone = sp.build_ro_ell(tight, box, sp.EllipseParams(omega))
-    ell_val = sp.solve_cone(p, cone, cfg).objective
+    p = sp.build_ro_ell(tight, box, omega)
+    ell_val = sp.solve_cone(p, cfg).objective
     assert ell_val >= box_val - 1e-6 * abs(box_val)
-
-
-def test_ro_ell_rejects_integrality(tight, tight_scens):
-    box = sp.estimate_box(tight_scens, tight_scens.S)
-    with pytest.raises(ValueError):
-        sp.build_ro_ell(tight, box, sp.EllipseParams(1.0), relax=False)
 
 
 def test_trsocp_below_ro_ell(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens, tight_scens.S)
-    p, cone = sp.build_ro_ell(tight, box, sp.EllipseParams(2.75))
-    ell_val = sp.solve_cone(p, cone, cfg).objective
-    p4, cones = sp.build_trsocp(tight, tight_scens, 2.75)
-    tr_val = sp.solve_cone(p4, cones, cfg).objective
+    p = sp.build_ro_ell(tight, box, 2.75)
+    ell_val = sp.solve_cone(p, cfg).objective
+    p4 = sp.build_trsocp(tight, tight_scens, 2.75)
+    tr_val = sp.solve_cone(p4, cfg).objective
     assert tr_val <= ell_val + 1e-5 * abs(ell_val)
 
 
@@ -149,8 +143,8 @@ def test_extract_first_stage_clamps_negatives(one_arc):
 # -- adjustable recovery -----------------------------------------------------
 
 def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
-    p, cones = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cones, cfg)
+    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    sol = sp.solve_cone(p, cfg)
     lam = np.zeros(tight_scens.S)
     lam[2] = 1.0
     y, z = sp.recover_adjustable_m5(tight, sol, lam, 0.0,
@@ -163,16 +157,16 @@ def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
 
 
 def test_recover_rejects_bad_lambda(tight, tight_scens, cfg):
-    p, cones = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cones, cfg)
+    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    sol = sp.solve_cone(p, cfg)
     with pytest.raises(ValueError):
         sp.recover_adjustable_m5(tight, sol, np.full(tight_scens.S, 0.5), 0.0,
                                  tight_scens.demands[0])
 
 
 def test_recover_raises_outside_hull(tight, tight_scens, cfg):
-    p, cones = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cones, cfg)
+    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    sol = sp.solve_cone(p, cfg)
     d = tight_scens.demands[0]
     lam = np.zeros(tight_scens.S)
     lam[0] = 1.0

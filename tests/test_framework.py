@@ -124,6 +124,12 @@ def test_in_sample_stability_prefix_property(tight, tight_scens):
         sp.in_sample_stability(tight, tight_scens, [10, 5], seed=1)
 
 
+def test_in_sample_stability_rejects_empty_or_zero_sizes(tight, tight_scens):
+    for s_list in ([], [0], [0, 5]):
+        with pytest.raises(ValueError, match="sizes >= 1"):
+            sp.in_sample_stability(tight, tight_scens, s_list, seed=1)
+
+
 def test_stability_curve_validation():
     with pytest.raises(ValueError):
         sp.StabilityCurve(entries=[(5, 1.0), (5, 2.0)], seed=0)
@@ -172,9 +178,9 @@ def test_solve_dispatches_on_the_problem(cfg, monkeypatch):
     p.add_var("w", obj=1.0, lb=None)
     p.add_var("x", lb=None)
     p.add_row({"x": 1.0}, "==", -3.0)
-    cone = ConeRow("w", {}, [{"x": 1.0}], scale=2.0)
-    assert _same(framework.solve(p, cfg, [cone]), sp.solve_cone(p, cone, cfg))
-    assert framework.solve(p, cfg, [cone]).objective == pytest.approx(6.0)
+    p.add_cone(ConeRow("w", {}, [{"x": 1.0}], scale=2.0))
+    assert _same(framework.solve(p, cfg), sp.solve_cone(p, cfg))
+    assert framework.solve(p, cfg).objective == pytest.approx(6.0)
 
     def no_mip(*args):
         raise AssertionError("an LP must not pass through solve_mip")

@@ -90,31 +90,56 @@ def test_cost_validation(one_arc):
         recourse_cost(one_arc, {}, {}, {}, {"wrong": 8.0})
 
 
+def _second_stage(inst, d, relax=True, tag=None, booking=None):
+    """(variables, integrality marks, rows) that second_stage_rows adds to a
+    problem holding the first stage."""
+    p = sp.LinearProblem()
+    first_stage_rows(p, inst, relax)
+    n_vars, n_rows = p.num_vars, len(p.rows)
+    second_stage_rows(p, inst, d, relax, tag, booking)
+    return p.var_names[n_vars:], p.integer[n_vars:], p.rows[n_rows:]
+
+
 def test_first_stage_rows_structure(tight):
-    bundle = first_stage_rows(tight, relax=True)
-    assert len(bundle.variables) == len(tight.arcs)
-    assert all(not integer for *_, integer in bundle.variables)
+    p = sp.LinearProblem()
+    first_stage_rows(p, tight, relax=True)
+    assert p.var_names == [x_name(a) for a in tight.arcs]
+    assert not any(p.integer)
     # one booking cap per destination
-    assert len(bundle.rows) == 2
-    coeffs, rel, rhs = bundle.rows[0]
+    assert len(p.rows) == 2
+    coeffs, rel, rhs = p.rows[0]
     assert rel == "<=" and rhs == tight.destinations[0].g
     assert all(c == tight.q for c in coeffs.values())
 
 
 def test_second_stage_rows_structure(tight):
-    bundle = second_stage_rows(tight, [80.0, 90.0], relax=False, tag=3)
-    names = [v[0] for v in bundle.variables]
+    names, integer, rows = _second_stage(tight, [80.0, 90.0], relax=False,
+                                         tag=3)
     assert z_name(tight.arcs[0], 3) in names
     assert y_name("d1", 3) in names
     # z marked integer when relax is off, y never
-    marks = {v[0]: v[3] for v in bundle.variables}
+    marks = dict(zip(names, integer))
     assert marks[z_name(tight.arcs[0], 3)] is True
     assert marks[y_name("d1", 3)] is False
-    rels = [(rel, rhs) for _, rel, rhs in bundle.rows]
+    rels = [(rel, rhs) for _, rel, rhs in rows]
     # 2 supplier caps (no minimum rows: r = 0), 2 demand rows, 4 coupling rows
     assert rels.count(("<=", 60.0)) == 2
     assert (">=", 0.0) not in rels  # no vacuous supplier-minimum rows
-    assert len(bundle.rows) == 2 + 2 + len(tight.arcs)
+    assert len(rows) == 2 + 2 + len(tight.arcs)
+
+
+def test_fixed_booking_bounds_usage_without_coupling_rows(tight):
+    booking = {a.key: float(i) for i, a in enumerate(tight.arcs)}
+    booking[tight.arcs[1].key] = -0.5  # clamped to a zero cap
+    p = sp.LinearProblem()
+    second_stage_rows(p, tight, [80.0, 90.0], relax=True, booking=booking)
+    caps = [p.ub[p.var_names.index(z_name(a))] for a in tight.arcs]
+    assert caps == [0.0, 0.0] + [float(i) for i in range(2, len(tight.arcs))]
+    assert all(ub is None for name, ub in zip(p.var_names, p.ub)
+               if name.startswith("y["))
+    # supplier caps and demand rows only; no booking variable referenced
+    assert len(p.rows) == 2 + 2
+    assert not any(name.startswith("x[") for name in p.var_names)
 
 
 def test_supplier_minimum_row_present_when_positive():
@@ -123,18 +148,18 @@ def test_supplier_minimum_row_present_when_positive():
         suppliers=(sp.Supplier("s1", 20.0, 100.0, ("p1",)),),
         destinations=(sp.Destination("d1", 8.0, 100.0),),
         arcs=(sp.Arc("s1", "p1", "d1", 2.0),))
-    bundle = second_stage_rows(inst, [30.0], relax=True)
-    assert any(rel == ">=" and rhs == 20.0 for _, rel, rhs in bundle.rows)
+    _, _, rows = _second_stage(inst, [30.0])
+    assert any(rel == ">=" and rhs == 20.0 for _, rel, rhs in rows)
 
 
 def test_demand_accepts_mapping_and_vector(one_arc):
-    by_vec = second_stage_rows(one_arc, [30.0], relax=True)
-    by_map = second_stage_rows(one_arc, {"d1": 30.0}, relax=True)
-    assert by_vec.rows == by_map.rows
+    by_vec = _second_stage(one_arc, [30.0])
+    by_map = _second_stage(one_arc, {"d1": 30.0})
+    assert by_vec == by_map
     with pytest.raises(ValueError):
-        second_stage_rows(one_arc, [30.0, 40.0], relax=True)
+        _second_stage(one_arc, [30.0, 40.0])
     with pytest.raises(KeyError):
-        second_stage_rows(one_arc, {"other": 30.0}, relax=True)
+        _second_stage(one_arc, {"other": 30.0})
 
 
 def test_initial_inventory_reduces_demand():
@@ -143,8 +168,8 @@ def test_initial_inventory_reduces_demand():
         suppliers=(sp.Supplier("s1", 0.0, 100.0, ("p1",)),),
         destinations=(sp.Destination("d1", 8.0, 100.0, l0=12.0),),
         arcs=(sp.Arc("s1", "p1", "d1", 2.0),))
-    bundle = second_stage_rows(inst, [30.0], relax=True)
-    demand_rows = [rhs for _, rel, rhs in bundle.rows if rel == ">="]
+    _, _, rows = _second_stage(inst, [30.0])
+    demand_rows = [rhs for _, rel, rhs in rows if rel == ">="]
     assert demand_rows == [18.0]
 
 

@@ -20,6 +20,9 @@ def test_scenario_set_validation():
         sp.ScenarioSet(np.array([[1.0], [2.0]]), probs=[0.7, 0.7])
     with pytest.raises(ValueError):
         sp.ScenarioSet(np.array([[1.0], [2.0]]), probs=[1.5, -0.5])
+    for empty in ([], np.zeros((0, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="empty"):
+            sp.ScenarioSet(empty)
 
 
 def test_uniform_probabilities_by_default():
@@ -111,11 +114,12 @@ def test_estimate_box_errors():
         estimate_box(sp.ScenarioSet(np.array([[1.0]])), 1)
 
 
-def test_box_params_validation():
+def test_box_params_validation(tight, tight_scens):
     with pytest.raises(ValueError):
         sp.BoxParams([1.0], [-0.1], [1.0], [0.0])
+    box = estimate_box(tight_scens, tight_scens.S)
     with pytest.raises(ValueError):
-        sp.EllipseParams(-1.0)
+        sp.build_ro_ell(tight, box, -1.0)  # negative radius
 
 
 def test_omega_epsilon_round_trip():
