@@ -30,7 +30,7 @@ demands = stream.uniform_matrix([60.0, 70.0], [110.0, 130.0], 12)
 costs = stream.uniform_matrix([5.6, 7.2], [8.4, 10.8], 12)
 scens = sp.ScenarioSet(demands, costs, dest_ids=inst.dest_ids)
 
-box = sp.estimate_box(scens, scens.S)
+box = sp.estimate_box(scens)
 cfg = sp.SolverConfig()
 
 box_val = sp.solve_lp(sp.build_ro_box(inst, box), cfg).objective

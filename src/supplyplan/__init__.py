@@ -25,7 +25,7 @@ from .projection import project_simplex_lsq
 from .rng import Stream
 from .uncertainty import (BoxParams, ScenarioSet, demand_gamma, estimate_box,
                           load_scenarios, omega_for_epsilon, sample_costs,
-                          sample_demands_mc, save_scenarios)
+                          save_scenarios)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
     "omega_for_epsilon", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
-    "sample_demands_mc", "save_scenarios", "solve_cone", "solve_lp",
+    "save_scenarios", "solve_cone", "solve_lp",
     "solve_mip", "stress_worst_case", "total_cost",
 ]

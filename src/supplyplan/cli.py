@@ -103,6 +103,9 @@ def build_parser() -> _Parser:
 
 
 def _load(args):
+    # checked with given costs too: --sigma-band and montecarlo draw on it
+    if not 0.0 <= args.sigma < 1.0:
+        raise ValueError("sigma must lie in [0, 1)")
     inst = Instance.load(args.instance)
     for warning in inst.validate():
         print(f"warning: {warning}", file=sys.stderr)
@@ -169,7 +172,7 @@ def cmd_solve(args) -> int:
     else:
         method = {"sp": "m1", "ro-box": "m2", "ro-ell": "m3",
                   "trsocp": "m4"}[args.model]
-        sol = solve_method(inst, method, scens, estimate_box(scens, scens.S),
+        sol = solve_method(inst, method, scens, estimate_box(scens),
                            omega, args.relax, cfg)
 
     out_dir = Path(args.out)
@@ -245,6 +248,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.n < 0:
+        print("error: --n must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     inst, scens = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     sbar = args.sbar if args.sbar is not None else scens.S // 2

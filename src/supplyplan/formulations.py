@@ -142,7 +142,7 @@ def build_trsocp(inst: Instance, scens: ScenarioSet,
     """Tractable adjustable counterpart over the hull of the given scenarios:
     shared booking x, one (y^s, z^s) block and one cone row per scenario,
     demand of block s fixed at the scenario realization. Continuous."""
-    box = estimate_box(scens, scens.S)
+    box = estimate_box(scens)
     p = LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
     first_stage_rows(p, inst, True)

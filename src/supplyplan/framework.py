@@ -138,7 +138,7 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
                  cost_dev_from_sigma, sigma):
     """All cells of one report row. Returns (tau, cells, times, first_stages)."""
     prefix = scens.head(tau)
-    box = estimate_box(prefix, tau)
+    box = estimate_box(prefix)
     if cost_dev_from_sigma:
         box.b_dev = sigma * box.b_nominal
     d_next = scens.demands[tau]

@@ -12,6 +12,7 @@ from scipy.optimize import linprog as _scipy_linprog
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
+_MAX_SIMPLEX_ITERS = 200_000   # HiGHS's own limit is unbounded
 
 
 class Status(enum.Enum):
@@ -25,19 +26,17 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
-    int_tol: float = 1e-6
-    mip_gap: float = 1e-6        # absolute
+    """The limits callers set. Feasibility tolerances (primal and dual 1e-7,
+    integer 1e-6) and the absolute MIP gap (1e-6) are HiGHS's own defaults,
+    which every solve uses."""
+
     cone_tol: float = 1e-6       # relative
-    max_simplex_iters: int = 200_000
     max_bb_nodes: int = 100_000
     max_cut_rounds: int = 200
 
     def __post_init__(self):
-        for name in ("feas_tol", "opt_tol", "int_tol", "mip_gap", "cone_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.cone_tol <= 0:
+            raise ValueError("cone_tol must be > 0")
 
 
 @dataclass
@@ -169,16 +168,13 @@ def _to_scipy(p: LinearProblem):
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     """Solve the linear relaxation of ``p``: integrality marks and cone rows
-    are ignored."""
-    cfg = cfg or SolverConfig()
+    are ignored, and so is ``cfg``, whose limits concern only those."""
     c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
     res = _scipy_linprog(
         c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
         A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
         bounds=bounds, method="highs",
-        options={"maxiter": cfg.max_simplex_iters,
-                 "primal_feasibility_tolerance": cfg.feas_tol,
-                 "dual_feasibility_tolerance": cfg.opt_tol},
+        options={"maxiter": _MAX_SIMPLEX_ITERS},
     )
     if res.status == 0:
         values = {name: float(v) for name, v in zip(p.var_names, res.x)}

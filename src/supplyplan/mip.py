@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -13,8 +12,10 @@ from .linprog import (LinearProblem, Solution, SolverConfig, Status,
 
 
 def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
-    """Solve ``p`` with its integrality marks; the absolute gap ``mip_gap``
-    governs termination and ``max_bb_nodes`` caps the branch-and-bound nodes."""
+    """Solve ``p`` with its integrality marks; ``max_bb_nodes`` caps the
+    branch-and-bound nodes. The relative gap is off, so HiGHS's default
+    absolute gap (1e-6) governs termination; its feasibility tolerances are
+    the defaults too (primal and dual 1e-7, integer 1e-6)."""
     cfg = cfg or SolverConfig()
     if not p.any_integer():
         return solve_lp(p, cfg)
@@ -27,17 +28,9 @@ def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
         constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
     lo = [-np.inf if b is None else b for b, _ in bounds]
     hi = [np.inf if b is None else b for _, b in bounds]
-    with warnings.catch_warnings():
-        # options beyond milp's own are passed to HiGHS verbatim
-        warnings.filterwarnings("ignore", "Unrecognized options detected",
-                                RuntimeWarning)
-        res = milp(c, constraints=constraints, bounds=Bounds(lo, hi),
-                   integrality=np.asarray(p.integer, dtype=int),
-                   options={"node_limit": cfg.max_bb_nodes, "mip_rel_gap": 0.0,
-                            "mip_abs_gap": cfg.mip_gap,
-                            "mip_feasibility_tolerance": cfg.int_tol,
-                            "primal_feasibility_tolerance": cfg.feas_tol,
-                            "dual_feasibility_tolerance": cfg.opt_tol})
+    res = milp(c, constraints=constraints, bounds=Bounds(lo, hi),
+               integrality=np.asarray(p.integer, dtype=int),
+               options={"node_limit": cfg.max_bb_nodes, "mip_rel_gap": 0.0})
 
     def incumbent(status):
         vals = {name: float(round(v)) if integer else float(v)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,22 @@ class ScenarioSet:
         self.demands = np.atleast_2d(np.asarray(self.demands, dtype=float))
         if self.demands.size == 0:
             raise ValueError("demand matrix is empty")
+        if not np.isfinite(self.demands).all():
+            raise ValueError("demands must be finite")
         if self.costs is not None:
             self.costs = np.atleast_2d(np.asarray(self.costs, dtype=float))
             if self.costs.shape != self.demands.shape:
                 raise ValueError("cost matrix shape differs from demand matrix")
+            if not np.isfinite(self.costs).all():
+                raise ValueError("costs must be finite")
             if np.any(self.costs <= 0):
                 raise ValueError("costs must be positive")
         if self.probs is None:
             self.probs = np.full(self.S, 1.0 / self.S)
         else:
             self.probs = np.asarray(self.probs, dtype=float)
+            if not np.isfinite(self.probs).all():
+                raise ValueError("probabilities must be finite")
             if self.probs.size != self.S or np.any(self.probs < 0):
                 raise ValueError("invalid probability vector")
             if abs(self.probs.sum() - 1.0) > 1e-9:
@@ -151,31 +156,12 @@ def sample_costs(b_bar, sigma: float, S: int, seed: int) -> np.ndarray:
     return stream.uniform_matrix(b_bar * (1.0 - sigma), b_bar * (1.0 + sigma), S)
 
 
-def sample_demands_mc(d_bar, gamma, N: int, seed: int) -> np.ndarray:
-    """N x D demand matrix, entries uniform in [d_j (1 - g_j), d_j (1 + g_j)],
-    clipped at zero (with a warning) when g_j > 1."""
-    d_bar = np.asarray(d_bar, dtype=float)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be nonnegative")
-    if np.any(gamma > 1):
-        warnings.warn("gamma > 1 yields a negative lower bound; clipping at 0",
-                      stacklevel=2)
-    stream = Stream(seed)
-    lo = np.maximum(d_bar * (1.0 - gamma), 0.0)
-    hi = d_bar * (1.0 + gamma)
-    return stream.uniform_matrix(lo, hi, N)
-
-
-def estimate_box(scens: ScenarioSet, tau: int) -> BoxParams:
-    """Componentwise mean and max-absolute deviation over the first ``tau``
-    scenarios (expanding-window box estimate)."""
-    if not 1 <= tau <= scens.S:
-        raise ValueError("tau out of range")
+def estimate_box(scens: ScenarioSet) -> BoxParams:
+    """Componentwise mean and max-absolute deviation over the scenarios; the
+    rolling comparison passes each expanding prefix ``scens.head(tau)``."""
     if scens.costs is None:
         raise ValueError("scenario set carries no cost realizations")
-    d = scens.demands[:tau]
-    b = scens.costs[:tau]
+    d, b = scens.demands, scens.costs
     d_bar = d.mean(axis=0)
     b_bar = b.mean(axis=0)
     return BoxParams(
@@ -193,20 +179,12 @@ def omega_for_epsilon(eps: float) -> float:
     return math.sqrt(-2.0 * math.log(eps))
 
 
-def demand_gamma(scens: ScenarioSet, tau: int | None = None,
-                 relative: bool = True) -> np.ndarray:
-    """Upward demand deviation max_s d_j^s - mean_j, per destination.
-
-    Returned relative to the mean by default (dimensionally consistent with
-    the multiplicative sampling interval); set ``relative=False`` for the raw
-    absolute value.
-    """
-    tau = scens.S if tau is None else tau
-    d = scens.demands[:tau]
+def demand_gamma(scens: ScenarioSet) -> np.ndarray:
+    """Upward demand deviation (max_s d_j^s - mean_j) / mean_j per
+    destination, relative to the mean like the multiplicative sampling
+    interval; 0 where the mean demand is 0."""
+    d = scens.demands
     d_bar = d.mean(axis=0)
     g = d.max(axis=0) - d_bar
-    if not relative:
-        return g
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(d_bar > 0, g / np.where(d_bar > 0, d_bar, 1.0), 0.0)
-    return rel
+        return np.where(d_bar > 0, g / np.where(d_bar > 0, d_bar, 1.0), 0.0)

@@ -91,7 +91,7 @@ def test_criterion_2_one_arc_oracle_suite(criterion, cfg):
             ws.append(v)
         assert sp.compute_evpi(sp_val, ws) == pytest.approx(10.0, abs=1e-7)
 
-        box = sp.estimate_box(scens, 2)
+        box = sp.estimate_box(scens)
         ro = sp.solve_lp(sp.build_ro_box(inst, box), cfg).objective
         assert ro == pytest.approx(helpers.one_arc_robox_oracle(inst, 50.0),
                                    abs=1e-7)
@@ -128,7 +128,7 @@ def test_criterion_4_omega_structure(criterion, synthetic, synthetic_trsocp, cfg
     with criterion(4, "radius structure of the robust objectives in under 60 s"):
         t0 = time.perf_counter()
         inst, scens = synthetic
-        box = sp.estimate_box(scens, scens.S)
+        box = sp.estimate_box(scens)
 
         values = {}
         for omega in (0.0, 1.0, 2.75, 3.873):
@@ -196,7 +196,7 @@ def test_criterion_5_framework_floors(criterion, synthetic, full_report, cfg):
             base = prefix_expected(report.first_stages[("m1", tau)])
             for m in ("m2", "m3", "m4"):
                 other = prefix_expected(report.first_stages[(m, tau)])
-                assert base <= other + cfg.mip_gap + 1e-5 \
+                assert base <= other + 1e-6 + 1e-5 \
                     + 1e-9 * abs(other)
 
         # perfect information never hurts on any prefix
@@ -225,7 +225,7 @@ def test_criterion_6_hull_decision_rule(criterion, synthetic, synthetic_trsocp, 
         sol = synthetic_trsocp
         fs = sp.extract_first_stage(inst, sol)
         w = sol.objective
-        box = sp.estimate_box(scens, scens.S)
+        box = sp.estimate_box(scens)
         rng = np.random.default_rng(2718)
         for _ in range(100):
             lam_true = rng.dirichlet(np.ones(scens.S))
@@ -258,7 +258,7 @@ def test_criterion_7_probability_bound(criterion, cfg):
     with criterion(7, "empirical cone violation below the radius bound"):
         inst = helpers.tight_instance()
         scens = helpers.tight_scens(n=12, seed=5)
-        box = sp.estimate_box(scens, scens.S)
+        box = sp.estimate_box(scens)
         omega = 2.75
         p = sp.build_ro_ell(inst, box, omega)
         sol = sp.solve_cone(p, cfg)

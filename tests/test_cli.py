@@ -184,6 +184,37 @@ def test_montecarlo_csv(data_dir, tmp_path):
     assert (tmp_path / "montecarlo.csv").read_text() == "method,cost\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--n", "3", "--sbar", "6", "--methods", "m1,m2"],
+    ["compare", "--sigma-band", "--methods", "m1,m2"],
+    ["solve", "--model", "sp"],
+], ids=["montecarlo", "compare-sigma-band", "solve"])
+@pytest.mark.parametrize("sigma", ["1.5", "-0.5", "1.0", "nan"])
+def test_sigma_outside_unit_interval_is_config_error(data_dir, tmp_path,
+                                                     capsys, command, sigma):
+    rc = main(command + ["--sigma", sigma] + _common(data_dir, tmp_path))
+    assert rc == 1
+    assert "error: sigma must lie in [0, 1)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_montecarlo_negative_n_is_config_error(data_dir, tmp_path, capsys):
+    rc = main(["montecarlo", "--n", "-2"] + _common(data_dir, tmp_path))
+    assert rc == 1
+    assert "error: --n must be >= 0" in capsys.readouterr().err
+
+
+def test_non_finite_cost_cell_is_config_error(data_dir, tmp_path, capsys):
+    costs = tmp_path / "cost.csv"
+    lines = (data_dir / "cost.csv").read_text().splitlines()
+    lines[1] = ",".join(["nan"] + lines[1].split(",")[1:])
+    costs.write_text("\n".join(lines) + "\n")
+    argv = ["solve", "--model", "sp"] + _common(data_dir, tmp_path / "out")
+    argv[argv.index("--cost-csv") + 1] = str(costs)
+    assert main(argv) == 1
+    assert "error: costs must be finite" in capsys.readouterr().err
+
+
 def test_montecarlo_prices_m5_by_hull_rule(tmp_path):
     assert main(["gen", "--suppliers", "6", "--destinations", "2",
                  "--scenarios", "30", "--seed", "0",

@@ -42,7 +42,7 @@ def test_recourse_matches_grid_oracle(one_arc, cfg):
 
 
 def test_ro_box_matches_grid_oracle(one_arc, one_arc_scens, cfg):
-    box = sp.estimate_box(one_arc_scens, 2)
+    box = sp.estimate_box(one_arc_scens)
     sol = _solve(sp.build_ro_box(one_arc, box), cfg)
     assert sol.objective == pytest.approx(
         helpers.one_arc_robox_oracle(one_arc, 50.0), abs=1e-7)
@@ -68,7 +68,7 @@ def test_sp_single_scenario_equals_ws(tight, tight_scens, cfg):
 
 
 def test_ro_box_zero_deviation_equals_ws_at_nominal(tight, tight_scens, cfg):
-    box = sp.estimate_box(tight_scens, tight_scens.S)
+    box = sp.estimate_box(tight_scens)
     box.d_dev = np.zeros_like(box.d_dev)
     box.b_dev = np.zeros_like(box.b_dev)
     a = _solve(sp.build_ro_box(tight, box), cfg).objective
@@ -77,7 +77,7 @@ def test_ro_box_zero_deviation_equals_ws_at_nominal(tight, tight_scens, cfg):
 
 
 def test_ro_ell_omega_zero_equals_nominal_cost_box(tight, tight_scens, cfg):
-    box = sp.estimate_box(tight_scens, tight_scens.S)
+    box = sp.estimate_box(tight_scens)
     p = sp.build_ro_ell(tight, box, 0.0)
     a = sp.solve_cone(p, cfg).objective
     nominal = sp.BoxParams(box.d_nominal, box.d_dev, box.b_nominal,
@@ -88,7 +88,7 @@ def test_ro_ell_omega_zero_equals_nominal_cost_box(tight, tight_scens, cfg):
 
 def test_ro_ell_between_nominal_and_box(tight, tight_scens, cfg):
     """Omega = sqrt(D) dominates the box worst case (norm inequality)."""
-    box = sp.estimate_box(tight_scens, tight_scens.S)
+    box = sp.estimate_box(tight_scens)
     box_val = sp.solve_lp(sp.build_ro_box(tight, box), cfg).objective
     omega = math.sqrt(tight_scens.D)
     p = sp.build_ro_ell(tight, box, omega)
@@ -97,7 +97,7 @@ def test_ro_ell_between_nominal_and_box(tight, tight_scens, cfg):
 
 
 def test_trsocp_below_ro_ell(tight, tight_scens, cfg):
-    box = sp.estimate_box(tight_scens, tight_scens.S)
+    box = sp.estimate_box(tight_scens)
     p = sp.build_ro_ell(tight, box, 2.75)
     ell_val = sp.solve_cone(p, cfg).objective
     p4 = sp.build_trsocp(tight, tight_scens, 2.75)

@@ -100,6 +100,18 @@ def test_matches_vertex_enumeration_on_random_lps(cfg):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        sp.SolverConfig(feas_tol=0.0)
+        sp.SolverConfig(cone_tol=0.0)
     with pytest.raises(ValueError):
-        sp.SolverConfig(mip_gap=-1e-9)
+        sp.SolverConfig(cone_tol=-1e-9)
+
+
+def test_highs_defaults_are_the_documented_tolerances():
+    """``SolverConfig`` leaves these to HiGHS; a scipy upgrade that changes
+    them, or moves the binding, must fail here rather than shift results."""
+    from scipy.optimize._highspy._core import HighsOptions
+
+    opts = HighsOptions()
+    assert opts.primal_feasibility_tolerance == 1e-7
+    assert opts.dual_feasibility_tolerance == 1e-7
+    assert opts.mip_feasibility_tolerance == 1e-6
+    assert opts.mip_abs_gap == 1e-6

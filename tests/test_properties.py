@@ -51,7 +51,7 @@ def test_adjustable_below_static_ellipsoid(case, omega):
     the adjustable counterpart, whose scenario demands lie below the box
     corner, so its optimum is no larger."""
     inst, scens = case
-    box = sp.estimate_box(scens, scens.S)
+    box = sp.estimate_box(scens)
     ell = sp.solve_cone(sp.build_ro_ell(inst, box, omega))
     adj = sp.solve_cone(sp.build_trsocp(inst, scens, omega))
     assert ell.optimal and adj.optimal
@@ -64,9 +64,48 @@ def test_adjustable_below_static_ellipsoid(case, omega):
 def test_optimal_cone_solves_meet_the_tolerance(case, omega, cone_tol):
     inst, scens = case
     cfg = sp.SolverConfig(cone_tol=cone_tol)
-    box = sp.estimate_box(scens, scens.S)
+    box = sp.estimate_box(scens)
     for p in (sp.build_ro_ell(inst, box, omega),
               sp.build_trsocp(inst, scens, omega)):
         sol = sp.solve_cone(p, cfg)
         if sol.optimal:
             assert sol.cone_residual <= cfg.cone_tol
+
+
+def _box_and_ellipsoid(case, omega):
+    inst, scens = case
+    box = sp.estimate_box(scens)
+    box_sol = sp.solve_lp(sp.build_ro_box(inst, box))
+    ell_sol = sp.solve_cone(sp.build_ro_ell(inst, box, omega))
+    assert box_sol.optimal and ell_sol.optimal
+    return box_sol.objective, ell_sol.objective
+
+
+@PROPERTY
+@given(planning_cases())
+def test_box_below_ellipsoid_at_root_d(case):
+    """||u||_1 <= sqrt(D) ||u||_2: the cost ellipsoid of radius sqrt(D)
+    protects at least the box's worst corner."""
+    box, ell = _box_and_ellipsoid(case, math.sqrt(case[1].D))
+    assert box <= ell + 1e-5 * abs(ell)
+
+
+@PROPERTY
+@given(planning_cases())
+def test_ellipsoid_below_box_at_unit_radius(case):
+    """||u||_2 <= ||u||_1: the unit cost ellipsoid lies inside the box."""
+    box, ell = _box_and_ellipsoid(case, 1.0)
+    assert ell <= box + 1e-5 * abs(box)
+
+
+@PROPERTY
+@given(planning_cases())
+def test_evpi_is_nonnegative(case):
+    inst, scens = case
+    sp_sol = sp.solve_lp(sp.build_sp(inst, scens))
+    ws = [sp.solve_lp(sp.build_ws(inst, scens.demands[s], scens.costs[s]))
+          for s in range(scens.S)]
+    assert sp_sol.optimal and all(w.optimal for w in ws)
+    evpi = sp.compute_evpi(sp_sol.objective, [w.objective for w in ws],
+                           scens.probs)
+    assert evpi >= -_tol(sp_sol.objective)

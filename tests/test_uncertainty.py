@@ -6,7 +6,7 @@ import pytest
 import supplyplan as sp
 from supplyplan.uncertainty import (demand_gamma, estimate_box, load_scenarios,
                                     omega_for_epsilon, sample_costs,
-                                    sample_demands_mc, save_scenarios)
+                                    save_scenarios)
 
 
 def test_scenario_set_validation():
@@ -23,6 +23,13 @@ def test_scenario_set_validation():
     for empty in ([], np.zeros((0, 2)), np.zeros((3, 0))):
         with pytest.raises(ValueError, match="empty"):
             sp.ScenarioSet(empty)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="demands must be finite"):
+            sp.ScenarioSet(np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="costs must be finite"):
+            sp.ScenarioSet(np.array([[1.0]]), costs=np.array([[bad]]))
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            sp.ScenarioSet(np.array([[1.0], [2.0]]), probs=[bad, 0.5])
 
 
 def test_uniform_probabilities_by_default():
@@ -91,7 +98,7 @@ def test_estimate_box_covers_prefix_tightly():
     demands = np.array([[10.0, 100.0], [20.0, 140.0], [60.0, 120.0]])
     costs = np.array([[5.0, 9.0], [7.0, 8.0], [6.0, 7.0]])
     s = sp.ScenarioSet(demands, costs)
-    box = estimate_box(s, 3)
+    box = estimate_box(s)
     assert np.allclose(box.d_nominal, [30.0, 120.0])
     assert np.allclose(box.d_dev, [30.0, 20.0])  # tight: achieved by a row
     assert np.allclose(box.b_nominal, [6.0, 8.0])
@@ -100,24 +107,19 @@ def test_estimate_box_covers_prefix_tightly():
     # every prefix point inside the box
     assert np.all(np.abs(demands - box.d_nominal) <= box.d_dev + 1e-12)
     # prefix restriction ignores the later rows
-    box2 = estimate_box(s, 2)
+    box2 = estimate_box(s.head(2))
     assert np.allclose(box2.d_nominal, [15.0, 120.0])
 
 
 def test_estimate_box_errors():
-    s = sp.ScenarioSet(np.array([[1.0]]), np.array([[2.0]]))
     with pytest.raises(ValueError):
-        estimate_box(s, 0)
-    with pytest.raises(ValueError):
-        estimate_box(s, 2)
-    with pytest.raises(ValueError):
-        estimate_box(sp.ScenarioSet(np.array([[1.0]])), 1)
+        estimate_box(sp.ScenarioSet(np.array([[1.0]])))
 
 
 def test_box_params_validation(tight, tight_scens):
     with pytest.raises(ValueError):
         sp.BoxParams([1.0], [-0.1], [1.0], [0.0])
-    box = estimate_box(tight_scens, tight_scens.S)
+    box = estimate_box(tight_scens)
     with pytest.raises(ValueError):
         sp.build_ro_ell(tight, box, -1.0)  # negative radius
 
@@ -144,18 +146,7 @@ def test_sample_costs_band_and_determinism():
         sample_costs(b_bar, 1.0, 1, seed=0)
 
 
-def test_sample_demands_clipping_and_warning():
-    d = sample_demands_mc([10.0], 0.5, 50, seed=1)
-    assert np.all(d >= 5.0) and np.all(d < 15.0)
-    with pytest.warns(UserWarning):
-        d = sample_demands_mc([10.0], 1.5, 50, seed=1)
-    assert np.all(d >= 0.0)
-    with pytest.raises(ValueError):
-        sample_demands_mc([10.0], -0.1, 1, seed=0)
-
-
-def test_demand_gamma_relative_and_absolute():
+def test_demand_gamma_relative_to_mean():
     s = sp.ScenarioSet(np.array([[10.0], [20.0], [30.0]]))
-    assert demand_gamma(s, relative=False) == pytest.approx([10.0])
     assert demand_gamma(s) == pytest.approx([0.5])
-    assert demand_gamma(s, tau=2) == pytest.approx([5.0 / 15.0])
+    assert demand_gamma(s.head(2)) == pytest.approx([5.0 / 15.0])
