@@ -7,16 +7,22 @@ a point with term vector ``t != 0`` the cut is
 ``epi - affine - scale * (t/||t||) . terms >= 0``; at the origin the
 axis-aligned cuts ``epi - affine -/+ scale * term_l >= 0`` are used. Every cut
 is a gradient inequality of a convex norm, hence valid for the cone.
+
+The problem and its initial cuts are assembled into one sparse matrix once.
+Each round appends its violated cuts as one block of rows and re-solves
+HiGHS warm from the previous round's basis, the new rows basic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linprog import LinearProblem, Solution, SolverConfig, Status, solve_lp
+from .linprog import (LinearProblem, Solution, SolverConfig, Status,
+                      _to_scipy, rows_to_csr, run_highs)
 
 
 @dataclass
@@ -59,6 +65,33 @@ def _cut_coeffs(cone: ConeRow, weights) -> dict[str, float]:
     return coeffs
 
 
+def _violated_cuts(live, values, tol):
+    """Supporting-hyperplane cuts of the cones ``values`` violates by more
+    than ``tol``, and the largest relative violation (0 if none)."""
+    cuts, residual = [], 0.0
+    for c in live:
+        rel, t = c.violation(values)
+        residual = max(residual, rel)
+        if rel > tol:
+            nrm = float(np.linalg.norm(t))
+            if nrm > 0.0:  # the origin is covered by the axis cuts
+                cuts.append(_cut_coeffs(c, t / nrm))
+    return cuts, residual
+
+
+def _row_form(p: LinearProblem):
+    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``."""
+    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
+    empty = sp.csr_matrix((0, p.num_vars))
+    A = sp.vstack([empty if A_ub is None else A_ub,
+                   empty if A_eq is None else A_eq], format="csr")
+    lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    hi = np.concatenate([b_ub, b_eq])
+    col_lo = np.array([-np.inf if lb is None else lb for lb, _ in bounds])
+    col_hi = np.array([np.inf if ub is None else ub for _, ub in bounds])
+    return c, A, lo, hi, col_lo, col_hi
+
+
 def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     """Solve ``p`` subject to its cone rows (continuous only)."""
     cfg = cfg or SolverConfig()
@@ -80,31 +113,23 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
         # uniform direction, unit norm; tightens the start when many terms
         # are active at once
         work.add_row(_cut_coeffs(c, [1.0 / math.sqrt(L)] * L), ">=", 0.0)
+    cost, A, lo, hi, col_lo, col_hi = _row_form(work)
 
     live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
-    sol = solve_lp(work, cfg)
-    if not sol.optimal or not live:
-        return sol
-
-    for _ in range(cfg.max_cut_rounds):
-        residual = 0.0
-        added = False
-        for c in live:
-            rel, t = c.violation(sol.values)
-            residual = max(residual, rel)
-            if rel > cfg.cone_tol:
-                nrm = float(np.linalg.norm(t))
-                if nrm == 0.0:
-                    continue  # origin is covered by the axis cuts
-                work.add_row(_cut_coeffs(c, t / nrm), ">=", 0.0)
-                added = True
-        if not added:
-            sol.cone_residual = max(0.0, residual)
-            return sol
-        sol = solve_lp(work, cfg)
-        if not sol.optimal:
-            return sol
-
-    residual = max(c.violation(sol.values)[0] for c in live)
-    return Solution(Status.CUT_LIMIT, sol.objective, sol.values,
-                    cone_residual=max(0.0, residual))
+    lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi)
+    rounds, iters = 1, lp.simplex_iters
+    while lp.optimal:
+        values = dict(zip(p.var_names, x.tolist()))
+        cuts, residual = _violated_cuts(live, values, cfg.cone_tol)
+        if not cuts or rounds > cfg.max_cut_rounds:
+            status = Status.CUT_LIMIT if cuts else Status.OPTIMAL
+            return Solution(status, lp.objective + p.objective_offset, values,
+                            cone_residual=residual, lp_rounds=rounds,
+                            simplex_iters=iters)
+        A = sp.vstack([A, rows_to_csr(p, cuts)], format="csr")
+        lo = np.concatenate([lo, np.zeros(len(cuts))])
+        hi = np.concatenate([hi, np.full(len(cuts), np.inf)])
+        lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi, basis)
+        rounds += 1
+        iters += lp.simplex_iters
+    return replace(lp, lp_rounds=rounds, simplex_iters=iters)

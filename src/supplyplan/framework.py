@@ -27,7 +27,7 @@ from .mip import solve_mip
 from .model import Instance, booking_cost, recourse_cost
 from .projection import project_simplex_lsq
 from .rng import Stream
-from .uncertainty import ScenarioSet, estimate_box, sample_costs
+from .uncertainty import ScenarioSet, cost_band, estimate_box, sample_costs
 
 METHOD_COLUMNS = ["m1", "m2", "m3", "m4", "m5"]
 ALL_COLUMNS = METHOD_COLUMNS + ["ws"]
@@ -140,7 +140,7 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
     prefix = scens.head(tau)
     box = estimate_box(prefix)
     if cost_dev_from_sigma:
-        box.b_dev = sigma * box.b_nominal
+        box.b_dev = cost_band(box.b_nominal, sigma)[1] - box.b_nominal
     d_next = scens.demands[tau]
     b_next = scens.costs[tau]
 
@@ -248,13 +248,13 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
     hi = scens.demands.max(axis=0)
     b_bar = (scens.costs.mean(axis=0) if scens.costs is not None
              else inst.b_bar_vector())
+    b_lo, b_hi = cost_band(b_bar, sigma)
     stream = Stream(seed)
     n_max = s_list[-1]
     # demand and cost drawn jointly per row, so a smaller sample is an exact
     # prefix of a larger one from the same seed
-    joint = stream.uniform_matrix(
-        np.concatenate([lo, b_bar * (1 - sigma)]),
-        np.concatenate([hi, b_bar * (1 + sigma)]), n_max)
+    joint = stream.uniform_matrix(np.concatenate([lo, b_lo]),
+                                  np.concatenate([hi, b_hi]), n_max)
     demands = joint[:, :lo.size]
     costs = joint[:, lo.size:]
     entries = []
@@ -274,16 +274,16 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
     the sum over tau of the mean evaluated cost over the draws, each priced by
     :func:`evaluate_recourse`. Any infeasible draw, or for m5 any draw outside
     the hull, makes the aggregate inf."""
+    b_lo, b_hi = cost_band(b_bar, sigma)
     if n == 0:
         return {}
     cfg = cfg or SolverConfig()
     d_bar = np.asarray(d_bar, dtype=float)
-    b_bar = np.asarray(b_bar, dtype=float)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
     stream = Stream(seed)
     lo_d = np.maximum(d_bar * (1.0 - gamma), 0.0)
     ds = stream.uniform_matrix(lo_d, d_bar * (1.0 + gamma), n)
-    bs = stream.uniform_matrix(b_bar * (1.0 - sigma), b_bar * (1.0 + sigma), n)
+    bs = stream.uniform_matrix(b_lo, b_hi, n)
 
     out = {}
     for method, per_tau in first_stages.items():
@@ -310,10 +310,9 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
     decision rule (inf when the extreme demand lies outside the hull)."""
     cfg = cfg or SolverConfig()
     d_bar = np.asarray(d_bar, dtype=float)
-    b_bar = np.asarray(b_bar, dtype=float)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
     d_ext = d_bar * (1.0 + gamma)
-    b_ext = b_bar * (1.0 + sigma)
+    b_ext = cost_band(b_bar, sigma)[1]
     out = {}
     for method, per_tau in first_stages.items():
         tau = max(per_tau)

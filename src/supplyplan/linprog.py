@@ -1,4 +1,9 @@
-"""Linear problem container and the LP engine behind every formulation."""
+"""Linear problem container and the LP engine behind every formulation.
+
+Plain LPs go through ``scipy.optimize.linprog``; the cone cut loop, which
+re-solves one growing LP many times, calls HiGHS through scipy's bundled
+binding so that each round can start from the previous round's basis.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog as _scipy_linprog
+from scipy.optimize._highspy import _core as _highs
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -46,6 +52,8 @@ class Solution:
     values: dict[str, float] = field(default_factory=dict)
     gap: float = 0.0             # MIP only
     cone_residual: float = 0.0   # cone problems only
+    lp_rounds: int = 0           # cone problems only: LP solves of the cut loop
+    simplex_iters: int = 0       # LP and cone problems
 
     @property
     def optimal(self) -> bool:
@@ -151,19 +159,30 @@ def _to_scipy(p: LinearProblem):
             ub_rows.append({k: -v for k, v in coeffs.items()})
             ub_rhs.append(-rhs)
 
-    def build(rows):
-        data, ri, ci = [], [], []
-        for i, coeffs in enumerate(rows):
-            for name, v in coeffs.items():
-                ri.append(i)
-                ci.append(p._index[name])
-                data.append(v)
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
     bounds = [(p.lb[i], p.ub[i]) for i in range(n)]
-    A_ub = build(ub_rows) if ub_rows else None
-    A_eq = build(eq_rows) if eq_rows else None
+    A_ub = rows_to_csr(p, ub_rows) if ub_rows else None
+    A_eq = rows_to_csr(p, eq_rows) if eq_rows else None
     return c, A_ub, np.asarray(ub_rhs), A_eq, np.asarray(eq_rhs), bounds
+
+
+def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
+    """Coefficient maps over the variables of ``p`` as a sparse matrix."""
+    indptr, indices, data = [0], [], []
+    for coeffs in rows:
+        indices.extend(map(p._index.__getitem__, coeffs))
+        data.extend(coeffs.values())
+        indptr.append(len(indices))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(len(rows), p.num_vars))
+
+
+def _failed(status: Status, simplex_iters: int) -> Solution:
+    objective = -math.inf if status is Status.UNBOUNDED else math.inf
+    return Solution(status, objective, simplex_iters=simplex_iters)
+
+
+_LINPROG_STATUS = {0: Status.OPTIMAL, 1: Status.ITER_LIMIT,
+                   2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
 
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
@@ -176,13 +195,69 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
         bounds=bounds, method="highs",
         options={"maxiter": _MAX_SIMPLEX_ITERS},
     )
-    if res.status == 0:
-        values = {name: float(v) for name, v in zip(p.var_names, res.x)}
-        return Solution(Status.OPTIMAL, float(res.fun) + p.objective_offset, values)
-    if res.status == 1:
-        return Solution(Status.ITER_LIMIT, math.inf)
-    if res.status == 2:
-        return Solution(Status.INFEASIBLE, math.inf)
-    if res.status == 3:
-        return Solution(Status.UNBOUNDED, -math.inf)
-    raise RuntimeError(f"LP backend failure: {res.message}")
+    status = _LINPROG_STATUS.get(res.status)
+    if status is None:
+        raise RuntimeError(f"LP backend failure: {res.message}")
+    if status is not Status.OPTIMAL:
+        return _failed(status, res.nit)
+    values = {name: float(v) for name, v in zip(p.var_names, res.x)}
+    return Solution(Status.OPTIMAL, float(res.fun) + p.objective_offset,
+                    values, simplex_iters=res.nit)
+
+
+# the HiGHS model statuses linprog reports as its status 0-3
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: Status.OPTIMAL,
+    _highs.HighsModelStatus.kIterationLimit: Status.ITER_LIMIT,
+    _highs.HighsModelStatus.kTimeLimit: Status.ITER_LIMIT,
+    _highs.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: Status.INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
+}
+
+
+def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None):
+    """Solve ``min c.x`` over ``lo <= A x <= hi``, ``col_lo <= x <= col_hi``
+    by dual simplex on a fresh HiGHS instance, with the options ``solve_lp``
+    gives linprog.
+
+    ``basis`` is the basis a previous call returned for the leading rows of
+    ``A``; rows appended since are made basic, so the solve starts from it.
+    Returns ``(solution, x, basis)``; the solution carries the objective
+    without ``objective_offset`` and no values, and ``x`` and ``basis`` are
+    None unless it is optimal.
+    """
+    m, n = A.shape
+    # this passModel overload reads the buffers in place, for A's sizes
+    arrays = [np.ascontiguousarray(v, dtype=float)
+              for v in (c, col_lo, col_hi, lo, hi)]
+    if [v.size for v in arrays] != [n, n, n, m, m]:
+        raise ValueError("cost, bound and row arrays must match A's shape")
+    h = _highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("simplex_strategy", 1)   # dual
+    h.setOptionValue("simplex_iteration_limit", _MAX_SIMPLEX_ITERS)
+    error = _highs.HighsStatus.kError
+    if h.passModel(n, m, A.nnz, int(_highs.MatrixFormat.kRowwise),
+                   int(_highs.ObjSense.kMinimize), 0.0, *arrays,
+                   A.indptr, A.indices, A.data,
+                   np.zeros(n, dtype=np.int32)) == error:  # all continuous
+        raise RuntimeError("LP backend failure: HiGHS rejected the model")
+    if basis is not None:
+        new_rows = m - len(basis.row_status)
+        basis.row_status = [*basis.row_status,
+                            *[_highs.HighsBasisStatus.kBasic] * new_rows]
+        if h.setBasis(basis) == error:
+            raise RuntimeError("LP backend failure: HiGHS rejected the basis")
+    h.run()
+    model_status = h.getModelStatus()
+    status = _HIGHS_STATUS.get(model_status)
+    if status is None:
+        raise RuntimeError(
+            f"LP backend failure: {h.modelStatusToString(model_status)}")
+    info = h.getInfo()
+    if status is not Status.OPTIMAL:
+        return _failed(status, info.simplex_iteration_count), None, None
+    sol = Solution(status, info.objective_function_value,
+                   simplex_iters=info.simplex_iteration_count)
+    return sol, np.asarray(h.getSolution().col_value), h.getBasis()

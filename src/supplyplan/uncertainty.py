@@ -147,13 +147,19 @@ def save_scenarios(path, dest_ids, matrix):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def sample_costs(b_bar, sigma: float, S: int, seed: int) -> np.ndarray:
-    """S x D cost matrix, entries uniform in [b_j (1 - sigma), b_j (1 + sigma)]."""
-    b_bar = np.asarray(b_bar, dtype=float)
+def cost_band(b_bar, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``b_j (1 - sigma)`` and ``b_j (1 + sigma)`` of the cost band,
+    for ``sigma`` in [0, 1)."""
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
+    b_bar = np.asarray(b_bar, dtype=float)
+    return b_bar * (1.0 - sigma), b_bar * (1.0 + sigma)
+
+
+def sample_costs(b_bar, sigma: float, S: int, seed: int) -> np.ndarray:
+    """S x D cost matrix, entries uniform in [b_j (1 - sigma), b_j (1 + sigma)]."""
     stream = Stream(seed)
-    return stream.uniform_matrix(b_bar * (1.0 - sigma), b_bar * (1.0 + sigma), S)
+    return stream.uniform_matrix(*cost_band(b_bar, sigma), S)
 
 
 def estimate_box(scens: ScenarioSet) -> BoxParams:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supplyplan as sp
 from supplyplan.cone import ConeRow
@@ -30,11 +32,43 @@ def test_matches_euclidean_norm(cfg):
     assert sol.cone_residual <= cfg.cone_tol
 
 
-def test_higher_dimension_norm(cfg):
-    point = [1.0, 2.0, -2.0, 4.0, 0.5]
-    p = _norm_problem(point, omega=1.0)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(point=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8),
+       omega=st.floats(0.01, 10.0))
+def test_higher_dimension_norm(point, omega):
+    sol = sp.solve_cone(_norm_problem(point, omega), sp.SolverConfig())
+    assert sol.optimal
+    assert sol.objective == pytest.approx(omega * np.linalg.norm(point),
+                                          rel=1e-5, abs=1e-9)
+
+
+def test_reports_rounds_and_simplex_iterations(cfg):
+    p = _norm_problem([1.0, 2.0, -2.0, 4.0, 0.5], omega=1.0)
     sol = sp.solve_cone(p, cfg)
-    assert sol.objective == pytest.approx(np.linalg.norm(point), rel=1e-5)
+    assert sol.optimal
+    assert sol.lp_rounds >= 1 and sol.simplex_iters > 0
+    capped = sp.solve_cone(p, sp.SolverConfig(max_cut_rounds=1))
+    assert 1 <= capped.lp_rounds <= 2
+
+
+def test_infeasible_at_the_first_round(cfg):
+    p = _norm_problem([3.0, 4.0], omega=1.0)
+    p.add_row({"x0": 1.0}, "<=", 2.0)  # contradicts x0 == 3
+    sol = sp.solve_cone(p, cfg)
+    assert sol.status is Status.INFEASIBLE
+    assert sol.objective == math.inf
+    assert sol.lp_rounds == 1
+
+
+def test_infeasible_only_after_a_warm_round(cfg):
+    # the initial cuts give w >= (3 + 4) / sqrt(2) = 4.95, within w <= 4.99;
+    # the cut at the incumbent gives w >= ||(3, 4)|| = 5
+    p = _norm_problem([3.0, 4.0], omega=1.0)
+    p.add_row({"w": 1.0}, "<=", 4.99)
+    sol = sp.solve_cone(p, cfg)
+    assert sol.status is Status.INFEASIBLE
+    assert sol.objective == math.inf
+    assert sol.lp_rounds == 2
 
 
 def test_omega_zero_reduces_to_linear(cfg):

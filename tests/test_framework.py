@@ -148,6 +148,48 @@ def test_monte_carlo_empty_and_determinism(tight, tight_scens, small_report):
     assert math.isfinite(a["m1"])
 
 
+@pytest.fixture(scope="module")
+def m2_bookings():
+    inst = sp.gen_instance(3, 2, seed=0)
+    scens = sp.gen_scenarios(inst, 6, seed=1)
+    report = sp.run_comparison(inst, scens, sbar=3, methods=["m2"])
+    stages = {"m2": {tau: report.first_stages[("m2", tau)]
+                     for tau in report.taus}}
+    return inst, scens, stages
+
+
+SIGMA_ERROR = r"sigma must lie in \[0, 1\)"
+
+
+@pytest.mark.parametrize("sigma", [1.5, -0.5, 1.0, math.nan])
+def test_monte_carlo_rejects_sigma_outside_unit_interval(m2_bookings, sigma):
+    inst, scens, stages = m2_bookings
+    d_bar = scens.demands.mean(axis=0)
+    b_bar = scens.costs.mean(axis=0)
+    with pytest.raises(ValueError, match=SIGMA_ERROR):
+        sp.monte_carlo_validation(inst, stages, 5, 0, 0.2, sigma, d_bar, b_bar)
+
+
+@pytest.mark.parametrize("sigma", [1.5, -0.5, 1.0, math.nan])
+def test_sigma_band_comparison_rejects_sigma_outside_unit_interval(
+        m2_bookings, sigma):
+    inst, scens, _ = m2_bookings
+    with pytest.raises(ValueError, match=SIGMA_ERROR):
+        sp.run_comparison(inst, scens, sbar=3, methods=["m2"], sigma=sigma,
+                          cost_dev_from_sigma=True)
+
+
+def test_stability_and_stress_reject_sigma_outside_unit_interval(
+        m2_bookings):
+    inst, scens, stages = m2_bookings
+    with pytest.raises(ValueError, match=SIGMA_ERROR):
+        sp.in_sample_stability(inst, scens, [2, 4], seed=1, sigma=1.5)
+    with pytest.raises(ValueError, match=SIGMA_ERROR):
+        sp.stress_worst_case(inst, stages, 0.3, -0.5,
+                             scens.demands.mean(axis=0),
+                             scens.costs.mean(axis=0))
+
+
 def test_stress_worst_case(tight, small_report):
     stages = {m: {tau: fs for (col, tau), fs in small_report.first_stages.items()
                   if col == m} for m in ("m1", "m2")}

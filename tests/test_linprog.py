@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import supplyplan as sp
-from supplyplan.linprog import Status
+from supplyplan.cone import _row_form
+from supplyplan.linprog import Status, rows_to_csr, run_highs
 
 import helpers
 
@@ -115,3 +117,32 @@ def test_highs_defaults_are_the_documented_tolerances():
     assert opts.dual_feasibility_tolerance == 1e-7
     assert opts.mip_feasibility_tolerance == 1e-6
     assert opts.mip_abs_gap == 1e-6
+
+
+def test_run_highs_warm_start_matches_a_cold_solve():
+    """A row appended to a solved LP and re-solved from its basis gives the
+    optimum ``solve_lp`` finds from scratch."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        p = helpers.random_lp(rng)
+        c, A, lo, hi, col_lo, col_hi = _row_form(p)
+        first, _, basis = run_highs(c, A, lo, hi, col_lo, col_hi)
+        assert first.optimal
+        cut = {f"v{i}": float(rng.uniform(-3, 3)) for i in range(p.num_vars)}
+        rhs = float(rng.uniform(-2, 0))   # the origin stays feasible
+        A = scipy.sparse.vstack([A, rows_to_csr(p, [cut])], format="csr")
+        warm, _, _ = run_highs(c, A, np.append(lo, rhs), np.append(hi, np.inf),
+                               col_lo, col_hi, basis)
+        q = p.copy()
+        q.add_row(cut, ">=", rhs)
+        assert warm.optimal
+        assert warm.objective == pytest.approx(sp.solve_lp(q).objective,
+                                               abs=1e-7)
+
+
+def test_run_highs_rejects_arrays_that_do_not_match_the_matrix():
+    c, A, lo, hi, col_lo, col_hi = _row_form(_simple_problem())
+    with pytest.raises(ValueError, match="match A's shape"):
+        run_highs(c, A, lo[:-1], hi, col_lo, col_hi)
+    with pytest.raises(ValueError, match="match A's shape"):
+        run_highs(c[:-1], A, lo, hi, col_lo, col_hi)
