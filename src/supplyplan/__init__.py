@@ -15,7 +15,7 @@ from .formulations import (PHI_ZERO_TOL, FirstStage, PhiPositive,
 from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
                         StabilityCurve, compute_evpi, evaluate_recourse,
                         in_sample_stability, monte_carlo_validation,
-                        run_comparison, stress_worst_case)
+                        price_draws, run_comparison, stress_worst_case)
 from .generate import gen_instance, gen_scenarios
 from .linprog import (LinearProblem, Solution, SolverConfig, Status, solve_lp)
 from .mip import solve_mip
@@ -39,7 +39,7 @@ __all__ = [
     "compute_evpi", "demand_gamma", "estimate_box", "evaluate_recourse",
     "extract_first_stage", "gen_instance", "gen_scenarios",
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
-    "omega_for_epsilon", "project_simplex_lsq",
+    "omega_for_epsilon", "price_draws", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
     "save_scenarios", "solve_cone", "solve_lp",
     "solve_mip", "stress_worst_case", "total_cost",

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linprog import (LinearProblem, Solution, SolverConfig, Status,
-                      _to_scipy, rows_to_csr, run_highs)
+                      _row_form, rows_to_csr, run_highs)
 
 
 @dataclass
@@ -77,19 +77,6 @@ def _violated_cuts(live, values, tol):
             if nrm > 0.0:  # the origin is covered by the axis cuts
                 cuts.append(_cut_coeffs(c, t / nrm))
     return cuts, residual
-
-
-def _row_form(p: LinearProblem):
-    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``."""
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
-    empty = sp.csr_matrix((0, p.num_vars))
-    A = sp.vstack([empty if A_ub is None else A_ub,
-                   empty if A_eq is None else A_eq], format="csr")
-    lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-    hi = np.concatenate([b_ub, b_eq])
-    col_lo = np.array([-np.inf if lb is None else lb for lb, _ in bounds])
-    col_hi = np.array([np.inf if ub is None else ub for _, ub in bounds])
-    return c, A, lo, hi, col_lo, col_hi
 
 
 def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:

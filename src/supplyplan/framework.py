@@ -22,9 +22,10 @@ from .formulations import (FirstStage, PhiPositive, build_recourse,
                            build_ro_box, build_ro_ell, build_sp, build_trsocp,
                            build_ws, extract_first_stage,
                            recover_adjustable_m5)
-from .linprog import Solution, SolverConfig, solve_lp
+from .linprog import Solution, SolverConfig, _row_form, run_highs, solve_lp
 from .mip import solve_mip
-from .model import Instance, booking_cost, recourse_cost
+from .model import (Instance, _as_demand, booking_cost, recourse_cost,
+                    y_name)
 from .projection import project_simplex_lsq
 from .rng import Stream
 from .uncertainty import ScenarioSet, cost_band, estimate_box, sample_costs
@@ -102,13 +103,44 @@ def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
 
 
 def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
-    """Realized cost of a booking at demand ``d`` and cost ``b``, inf if
-    infeasible: an m5 booking (with a ``hull``) by its hull decision rule,
-    any other by the optimal fixed-booking recourse."""
-    if isinstance(x_star, FirstStage) and x_star.hull is not None:
-        return _price_m5(inst, x_star, d, b)
-    return _objective_or_inf(solve(build_recourse(inst, x_star, d, b, relax),
-                                   cfg))
+    """Realized cost of a booking at demand ``d`` and cost ``b``: the one
+    draw of :func:`price_draws`."""
+    return next(price_draws(inst, x_star, [d], [b], relax, cfg))
+
+
+def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
+    """Yield the realized cost of ``booking`` at each draw ``(ds[i], bs[i])``,
+    inf if infeasible: an m5 booking (with a ``hull``) by its hull decision
+    rule, any other by the optimal fixed-booking recourse.
+
+    A relaxed recourse LP is built once; each draw overwrites its demand
+    cover (C3) bounds and purchase costs and re-solves HiGHS from the last
+    optimal draw's basis. Only the optimal value leaves, and that is the same
+    from any optimal vertex."""
+    if isinstance(booking, FirstStage) and booking.hull is not None:
+        yield from (_price_m5(inst, booking, d, b) for d, b in zip(ds, bs))
+        return
+    if not relax:
+        for d, b in zip(ds, bs):
+            yield _objective_or_inf(solve(build_recourse(
+                inst, booking, d, b, relax=False), cfg))
+        return
+    if len(ds) == 0:
+        return
+    p = build_recourse(inst, booking, ds[0], bs[0])
+    c, A, lo, hi, col_lo, col_hi = _row_form(p)
+    dests = inst.destinations
+    cover = slice(A.shape[0] - len(dests), None)  # C3 rows are added last
+    y = [p.var_names.index(y_name(dest.id)) for dest in dests]
+    l0 = np.array([dest.l0 for dest in dests], dtype=float)
+    basis = None
+    for d, b in zip(ds, bs):
+        d, b = (np.array([*_as_demand(inst, v).values()]) for v in (d, b))
+        hi[cover] = -(d - l0)   # d - l0 <= row, negated in row form
+        c[y] = inst.q * b
+        lp, _, warm = run_highs(c, A, lo, hi, col_lo, col_hi, basis)
+        basis = warm if lp.optimal else basis
+        yield _objective_or_inf(lp) + p.objective_offset
 
 
 def _price_m5(inst, fs, d, b) -> float:
@@ -271,9 +303,11 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
     """Aggregate recourse cost per method over ``n`` sampled realizations.
 
     ``first_stages`` maps method column -> {tau: FirstStage}; the aggregate is
-    the sum over tau of the mean evaluated cost over the draws, each priced by
-    :func:`evaluate_recourse`. Any infeasible draw, or for m5 any draw outside
-    the hull, makes the aggregate inf."""
+    the sum over tau of the mean evaluated cost over the draws. Each booking
+    prices its draws in turn through one :func:`price_draws` generator, which
+    re-solves one recourse LP warm from draw to draw. Any infeasible draw, or
+    for m5 any draw outside the hull, makes the aggregate inf, and the
+    booking's remaining draws are not priced."""
     b_lo, b_hi = cost_band(b_bar, sigma)
     if n == 0:
         return {}
@@ -290,8 +324,8 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
         total = 0.0
         for tau, fs in sorted(per_tau.items()):
             acc = 0.0
-            for i in range(n):
-                acc += evaluate_recourse(inst, fs, ds[i], bs[i], True, cfg)
+            for cost in price_draws(inst, fs, ds, bs, True, cfg):
+                acc += cost
                 if math.isinf(acc):
                     break
             total += acc / n

@@ -1,8 +1,10 @@
 """Linear problem container and the LP engine behind every formulation.
 
-Plain LPs go through ``scipy.optimize.linprog``; the cone cut loop, which
-re-solves one growing LP many times, calls HiGHS through scipy's bundled
-binding so that each round can start from the previous round's basis.
+Plain LPs go through ``scipy.optimize.linprog``. The two loops that re-solve
+one LP many times call HiGHS through scipy's bundled binding, so that each
+solve starts from the previous one's basis: the cone cut loop, whose LP grows
+by each round's cuts, and the recourse pricer, which changes only a booking's
+demand bounds and purchase costs from one draw to the next.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.cone_tol <= 0:
             raise ValueError("cone_tol must be > 0")
+        if self.max_bb_nodes < 0 or self.max_cut_rounds < 0:
+            raise ValueError("max_bb_nodes and max_cut_rounds must be >= 0")
 
 
 @dataclass
@@ -163,6 +167,20 @@ def _to_scipy(p: LinearProblem):
     A_ub = rows_to_csr(p, ub_rows) if ub_rows else None
     A_eq = rows_to_csr(p, eq_rows) if eq_rows else None
     return c, A_ub, np.asarray(ub_rhs), A_eq, np.asarray(eq_rhs), bounds
+
+
+def _row_form(p: LinearProblem):
+    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``:
+    the rows of ``_to_scipy``, inequalities (``>=`` negated) first."""
+    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
+    empty = sp.csr_matrix((0, p.num_vars))
+    A = sp.vstack([empty if A_ub is None else A_ub,
+                   empty if A_eq is None else A_eq], format="csr")
+    lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    hi = np.concatenate([b_ub, b_eq])
+    col_lo = np.array([-np.inf if lb is None else lb for lb, _ in bounds])
+    col_hi = np.array([np.inf if ub is None else ub for _, ub in bounds])
+    return c, A, lo, hi, col_lo, col_hi
 
 
 def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:

@@ -188,10 +188,10 @@ def test_criterion_5_framework_floors(criterion, synthetic, full_report, cfg):
             prefix = scens.head(tau)
 
             def prefix_expected(fs):
-                return sum(
-                    float(pr) * sp.evaluate_recourse(
-                        inst, fs, prefix.demands[s], prefix.costs[s], cfg=cfg)
-                    for s, pr in enumerate(prefix.probs))
+                costs = sp.price_draws(inst, fs, prefix.demands,
+                                       prefix.costs, cfg=cfg)
+                return sum(float(pr) * cost
+                           for pr, cost in zip(prefix.probs, costs))
 
             base = prefix_expected(report.first_stages[("m1", tau)])
             for m in ("m2", "m3", "m4"):

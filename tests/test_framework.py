@@ -272,3 +272,93 @@ def test_m5_covers_demand_the_tolerance_lets_through():
     m5_cost = sp.evaluate_recourse(inst, m5, d, b)
     assert math.isfinite(m5_cost)
     assert m5_cost >= sp.evaluate_recourse(inst, m4, d, b)
+
+
+def _minimum_and_stock():
+    """Supplier s1 has a minimum of 30 t, both destinations hold stock."""
+    return sp.Instance(
+        q=10.0, alpha=0.5,
+        suppliers=(sp.Supplier("s1", 30.0, 200.0, ("p1", "p2")),
+                   sp.Supplier("s2", 0.0, 150.0, ("p1",))),
+        destinations=(sp.Destination("d1", 8.0, 100.0, 15.0),
+                      sp.Destination("d2", 9.0, 100.0, 5.0)),
+        arcs=(sp.Arc("s1", "p1", "d1", 2.0), sp.Arc("s1", "p2", "d2", 3.0),
+              sp.Arc("s2", "p1", "d1", 4.0), sp.Arc("s2", "p1", "d2", 2.5)))
+
+
+BOOKING = {("s1", "p1", "d1"): 3.0, ("s1", "p2", "d2"): 2.0,
+           ("s2", "p1", "d1"): 1.5, ("s2", "p1", "d2"): 4.0}
+# 20 t booked from s1, below its 30 t minimum
+SHORT_BOOKING = {("s1", "p1", "d1"): 1.0, ("s1", "p2", "d2"): 1.0}
+
+
+def _cold(inst, booking, d, b, cfg):
+    return framework._objective_or_inf(
+        sp.solve_lp(sp.build_recourse(inst, booking, d, b), cfg))
+
+
+def test_price_draws_matches_cold_recourse(cfg):
+    inst = _minimum_and_stock()
+    rng = np.random.default_rng(11)
+    # demands from below the stock to beyond the booking
+    ds = rng.uniform(0.0, 120.0, (60, 2))
+    bs = rng.uniform(6.0, 11.0, (60, 2))
+    costs = list(sp.price_draws(inst, BOOKING, ds, bs, cfg=cfg))
+    assert len(costs) == 60
+    for cost, d, b in zip(costs, ds, bs):
+        assert cost == pytest.approx(_cold(inst, BOOKING, d, b, cfg),
+                                     rel=1e-12, abs=1e-9)
+    assert sp.evaluate_recourse(inst, BOOKING, ds[7], bs[7], cfg=cfg) \
+        == pytest.approx(costs[7], rel=1e-12)
+
+
+def test_price_draws_recovers_after_a_draw_without_optimum(cfg):
+    # a fixed booking's recourse is infeasible at every draw or at none
+    # (purchases are unbounded), so the draw without an optimum between two
+    # priced ones is an unbounded one: a negative purchase cost
+    inst = _minimum_and_stock()
+    ds = [[60.0, 40.0], [60.0, 40.0], [70.0, 30.0]]
+    bs = [[8.0, 9.0], [-1.0, 9.0], [8.5, 9.5]]
+    costs = list(sp.price_draws(inst, BOOKING, ds, bs, cfg=cfg))
+    assert math.isinf(costs[1])
+    for i in (0, 2):
+        assert costs[i] == pytest.approx(
+            _cold(inst, BOOKING, ds[i], bs[i], cfg), rel=1e-12)
+    short = list(sp.price_draws(inst, SHORT_BOOKING, ds[::2], bs[::2]))
+    assert short == [math.inf, math.inf]
+
+
+def test_monte_carlo_stops_pricing_at_the_first_inf(monkeypatch):
+    inst = _minimum_and_stock()
+    solves, run_highs = [], framework.run_highs
+
+    def counting(*args):
+        solves.append(1)
+        return run_highs(*args)
+    monkeypatch.setattr(framework, "run_highs", counting)
+    fs = sp.FirstStage(BOOKING)
+    stages = {"m1": {1: fs, 2: fs}, "m2": {1: sp.FirstStage(SHORT_BOOKING),
+                                          2: fs}}
+    out = sp.monte_carlo_validation(inst, stages, 10, 3, 0.3, 0.2,
+                                    [60.0, 40.0], [8.0, 9.0])
+    assert math.isfinite(out["m1"]) and math.isinf(out["m2"])
+    # 10 draws for each m1 booking, one for the short m2 booking
+    assert len(solves) == 21
+
+
+def test_price_draws_keeps_m5_and_integer_pricing(tight, tight_scens,
+                                                  small_report, cfg):
+    ds, bs = tight_scens.demands, tight_scens.costs
+    fs = small_report.first_stages[("m5", small_report.taus[-1])]
+    m5 = list(sp.price_draws(tight, fs, ds, bs))
+    assert m5 == [framework._price_m5(tight, fs, d, b) for d, b in zip(ds, bs)]
+    assert any(math.isfinite(v) for v in m5)
+
+    inst = _minimum_and_stock()
+    ds = [[60.0, 40.0], [12.0, 3.0], [95.0, 70.0]]
+    bs = [[8.0, 9.0], [8.2, 9.1], [8.5, 9.5]]
+    for booking in (BOOKING, SHORT_BOOKING):
+        integer = list(sp.price_draws(inst, booking, ds, bs, False, cfg))
+        assert integer == [framework._objective_or_inf(framework.solve(
+            sp.build_recourse(inst, booking, d, b, relax=False), cfg))
+            for d, b in zip(ds, bs)]

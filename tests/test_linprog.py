@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse
 
 import supplyplan as sp
-from supplyplan.cone import _row_form
-from supplyplan.linprog import Status, rows_to_csr, run_highs
+from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
 
 import helpers
 
@@ -105,6 +104,11 @@ def test_solver_config_validation():
         sp.SolverConfig(cone_tol=0.0)
     with pytest.raises(ValueError):
         sp.SolverConfig(cone_tol=-1e-9)
+    with pytest.raises(ValueError):
+        sp.SolverConfig(max_cut_rounds=-5)
+    with pytest.raises(ValueError):
+        sp.SolverConfig(max_bb_nodes=-3)
+    assert sp.SolverConfig(max_cut_rounds=0).max_cut_rounds == 0
 
 
 def test_highs_defaults_are_the_documented_tolerances():
