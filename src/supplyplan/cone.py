@@ -2,11 +2,17 @@
 
 A cone row encodes ``epi - affine >= scale * ||(terms)||_2`` (membership of
 ``(epi - affine)/scale`` and the term vector in the Lorentz cone). The solver
-accumulates supporting-hyperplane cuts of the norm at the incumbent point: at
-a point with term vector ``t != 0`` the cut is
-``epi - affine - scale * (t/||t||) . terms >= 0``; at the origin the
-axis-aligned cuts ``epi - affine -/+ scale * term_l >= 0`` are used. Every cut
-is a gradient inequality of a convex norm, hence valid for the cone.
+lifts each cone onto a slack ``0 <= s <= epi - affine`` (one linear row) and
+approximates ``s >= scale * ||(terms)||`` by supporting-hyperplane cuts of the
+norm on ``s`` and the terms only: at a point with term vector ``t != 0`` the
+cut ``s - scale * (t/||t||) . terms >= 0``, at the start the axis-aligned cuts
+``s -/+ scale * term_l >= 0`` and the uniform direction. Every cut is a
+gradient inequality of a convex norm, hence valid for the cone, and none
+copies the affine part, so the LP stays sparse.
+
+Violations are measured on the original cones at the LP point. A violated
+cone's cut on its slack separates the point, as
+``s <= epi - affine < scale * ||t||``.
 
 The problem and its initial cuts are assembled into one sparse matrix once.
 Each round appends its violated cuts as one block of rows and re-solves
@@ -66,16 +72,17 @@ def _cut_coeffs(cone: ConeRow, weights) -> dict[str, float]:
 
 
 def _violated_cuts(live, values, tol):
-    """Supporting-hyperplane cuts of the cones ``values`` violates by more
-    than ``tol``, and the largest relative violation (0 if none)."""
+    """Cuts on the slacks of the cones ``values`` violates by more than
+    ``tol``, and the largest relative violation (0 if none). ``live`` pairs
+    each cone with its lifted form ``ConeRow(slack, {}, terms, scale)``."""
     cuts, residual = [], 0.0
-    for c in live:
+    for c, lifted in live:
         rel, t = c.violation(values)
         residual = max(residual, rel)
         if rel > tol:
             nrm = float(np.linalg.norm(t))
             if nrm > 0.0:  # the origin is covered by the axis cuts
-                cuts.append(_cut_coeffs(c, t / nrm))
+                cuts.append(_cut_coeffs(lifted, t / nrm))
     return cuts, residual
 
 
@@ -85,35 +92,39 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     if p.any_integer():
         raise ValueError("cone problems are solved in continuous variables only")
 
-    work = p.copy()
+    work, live = p.copy(), []
     for c in p.cones:
         if c.scale == 0.0 or not c.cone_terms:
             # degenerate cone: plain linear row epi >= affine
-            work.add_row(_cut_coeffs(c, [0.0] * len(c.cone_terms)), ">=", 0.0)
+            work.add_row(_cut_coeffs(c, []), ">=", 0.0)
             continue
+        # slack s <= epi - affine, named by a tuple, which no str name equals
+        s = work.add_var(("cone slack", len(live)))
+        work.add_row({**_cut_coeffs(c, []), s: -1.0}, ">=", 0.0)
+        lifted = ConeRow(s, {}, c.cone_terms, c.scale)
+        live.append((c, lifted))
         L = len(c.cone_terms)
         for l in range(L):
             for sign in (1.0, -1.0):
                 w = [0.0] * L
                 w[l] = sign
-                work.add_row(_cut_coeffs(c, w), ">=", 0.0)
+                work.add_row(_cut_coeffs(lifted, w), ">=", 0.0)
         # uniform direction, unit norm; tightens the start when many terms
         # are active at once
-        work.add_row(_cut_coeffs(c, [1.0 / math.sqrt(L)] * L), ">=", 0.0)
+        work.add_row(_cut_coeffs(lifted, [1.0 / math.sqrt(L)] * L), ">=", 0.0)
     cost, A, lo, hi, col_lo, col_hi = _row_form(work)
 
-    live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
     lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi)
     rounds, iters = 1, lp.simplex_iters
     while lp.optimal:
-        values = dict(zip(p.var_names, x.tolist()))
+        values = dict(zip(p.var_names, x.tolist()))  # drops the slacks
         cuts, residual = _violated_cuts(live, values, cfg.cone_tol)
         if not cuts or rounds > cfg.max_cut_rounds:
             status = Status.CUT_LIMIT if cuts else Status.OPTIMAL
             return Solution(status, lp.objective + p.objective_offset, values,
                             cone_residual=residual, lp_rounds=rounds,
                             simplex_iters=iters)
-        A = sp.vstack([A, rows_to_csr(p, cuts)], format="csr")
+        A = sp.vstack([A, rows_to_csr(work, cuts)], format="csr")
         lo = np.concatenate([lo, np.zeros(len(cuts))])
         hi = np.concatenate([hi, np.full(len(cuts), np.inf)])
         lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi, basis)

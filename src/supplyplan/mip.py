@@ -8,7 +8,10 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .linprog import (LinearProblem, Solution, SolverConfig, Status,
-                      _to_scipy, solve_lp)
+                      _highs, _to_scipy, solve_lp)
+
+# how milp's message names HiGHS's "primal infeasible or unbounded"
+_UNDECIDED = f"HiGHS Status {int(_highs.HighsModelStatus.kUnboundedOrInfeasible)}:"
 
 
 def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
@@ -44,6 +47,11 @@ def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
         return Solution(Status.INFEASIBLE, math.inf)
     if res.status == 3:
         return Solution(Status.UNBOUNDED, -math.inf)
+    if res.status == 4 and _UNDECIDED in res.message:
+        # a MIP whose relaxation has an optimum is bounded, so infeasible
+        if solve_lp(p).status is Status.UNBOUNDED:
+            return Solution(Status.UNBOUNDED, -math.inf)
+        return Solution(Status.INFEASIBLE, math.inf)
     if res.status == 4 and (res.mip_node_count or 0) >= cfg.max_bb_nodes:
         if res.x is None:
             return Solution(Status.NODE_LIMIT, math.inf, gap=math.inf)

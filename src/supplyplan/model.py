@@ -218,15 +218,15 @@ def recourse_cost(inst: Instance, x: Mapping[ArcKey, float],
                   b) -> float:
     """f2 = q * sum_j b_j y_j - alpha * q * sum t_a (x_a - z_a)."""
     bmap = _as_demand(inst, b)
-    keys = {a.key: a for a in inst.arcs}
-    for k in z:
+    keys = {a.key for a in inst.arcs}
+    for k in {**x, **z}:
         if k not in keys:
             raise KeyError(f"unknown arc {k}")
-        if z[k] > x.get(k, 0.0) + 1e-9:
+        if k in z and z[k] > x.get(k, 0.0) + 1e-9:
             raise ValueError(f"z > x on arc {k}")
     buy = inst.q * sum(bmap[j] * v for j, v in y.items())
-    refund = inst.alpha * inst.q * sum(
-        keys[k].t * (x.get(k, 0.0) - z.get(k, 0.0)) for k in set(x) | set(z))
+    refund = inst.alpha * inst.q * sum(  # in arc order, not hash order
+        a.t * (x.get(a.key, 0.0) - z.get(a.key, 0.0)) for a in inst.arcs)
     return buy - refund
 
 

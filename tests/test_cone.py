@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supplyplan as sp
-from supplyplan.cone import ConeRow
-from supplyplan.linprog import Status
+from supplyplan import cone
+from supplyplan.cone import ConeRow, _cut_coeffs
+from supplyplan.linprog import Status, _row_form
 
 
 def _norm_problem(point, omega):
@@ -86,6 +87,55 @@ def test_affine_part_shifts_epigraph(cfg):
     p.cones[0].affine_part = {"x0": 1.0}  # w >= x0 + ||x||
     sol = sp.solve_cone(p, cfg)
     assert sol.objective == pytest.approx(8.0, rel=1e-5)
+
+
+def test_affine_part_over_several_variables(cfg):
+    # w - 2u - 3v >= 1.5 ||(x0, x1)|| at u = 1.5, v = -2, x = (3, 4)
+    p = _norm_problem([3.0, 4.0], omega=1.5)
+    for name, value in (("u", 1.5), ("v", -2.0)):
+        p.add_var(name, lb=None)
+        p.add_row({name: 1.0}, "==", value)
+    p.cones[0].affine_part = {"u": 2.0, "v": 3.0}
+    sol = sp.solve_cone(p, cfg)
+    assert sol.optimal
+    assert sol.objective == pytest.approx(3.0 - 6.0 + 1.5 * 5.0, rel=1e-5)
+    assert sol.cone_residual <= cfg.cone_tol
+
+
+def test_values_hold_the_problem_variables_only(cfg):
+    p = _norm_problem([1.0, -2.0, 2.0], omega=1.0)
+    p.add_cone(ConeRow("w", {}, [{"x0": 1.0}], scale=0.0))  # degenerate
+    sol = sp.solve_cone(p, cfg)
+    assert sol.optimal
+    assert list(sol.values) == p.var_names
+
+
+def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
+    """Every cut is written on its cone's slack, so the LP has at most half
+    the nonzeros it would have with the affine part copied into each cut."""
+    inst = sp.gen_instance(6, 4, seed=12)
+    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 6, seed=13), 2.75)
+    matrices, run_highs = [], cone.run_highs
+
+    def recording(c, A, *args):
+        matrices.append(A)
+        return run_highs(c, A, *args)
+    monkeypatch.setattr(cone, "run_highs", recording)
+    assert sp.solve_cone(p, cfg).optimal
+
+    live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
+    assert len(live) == 6
+    unlifted = _row_form(p)[1].nnz
+    for c in live:
+        L = len(c.cone_terms)
+        starts = [np.eye(L)[l] * sign for l in range(L) for sign in (1, -1)]
+        starts.append(np.full(L, 1.0 / math.sqrt(L)))
+        unlifted += sum(len(_cut_coeffs(c, w)) for w in starts)
+    first, final = matrices[0], matrices[-1]
+    assert first.nnz <= 0.5 * unlifted
+    # a later cut touches the slack and the term variables only
+    widest = 1 + max(len({n for t in c.cone_terms for n in t}) for c in live)
+    assert final.nnz <= first.nnz + widest * (final.shape[0] - first.shape[0])
 
 
 def test_multiple_cones_take_the_max(cfg):

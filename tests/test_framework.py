@@ -328,6 +328,19 @@ def test_price_draws_recovers_after_a_draw_without_optimum(cfg):
     assert short == [math.inf, math.inf]
 
 
+def test_integer_recourse_prices_an_unbounded_draw_as_inf(cfg):
+    # HiGHS's MIP solve reports the negative purchase cost "infeasible or
+    # unbounded"; the relaxation tells which, and the draw prices at inf as
+    # the relaxed pricer's does
+    inst = _minimum_and_stock()
+    args = (inst, BOOKING, [[60.0, 40.0]], [[-1.0, 9.0]])
+    assert list(sp.price_draws(*args, relax=False, cfg=cfg)) == [math.inf]
+    assert list(sp.price_draws(*args, relax=True, cfg=cfg)) == [math.inf]
+    p = sp.build_recourse(inst, BOOKING, [60.0, 40.0], [-1.0, 9.0],
+                          relax=False)
+    assert sp.solve_mip(p, cfg).status is sp.Status.UNBOUNDED
+
+
 def test_monte_carlo_stops_pricing_at_the_first_inf(monkeypatch):
     inst = _minimum_and_stock()
     solves, run_highs = [], framework.run_highs

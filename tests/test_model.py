@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,6 +93,38 @@ def test_cost_validation(one_arc):
         recourse_cost(one_arc, {key: 1.0}, {}, {key: 2.0}, [8.0])
     with pytest.raises(KeyError):
         recourse_cost(one_arc, {}, {}, {}, {"wrong": 8.0})
+    for x, z in (({}, {("a", "b", "c"): 0.0}), ({("a", "b", "c"): 1.0}, {})):
+        with pytest.raises(KeyError):
+            recourse_cost(one_arc, x, {}, z, [8.0])
+
+
+# m5-style bookings: fractional x on every arc, z a fraction of it, as the
+# hull decision rule makes them; their refunds sum 68 arcs
+_PRICE_BOOKINGS = """
+import numpy as np
+import supplyplan as sp
+from supplyplan.model import recourse_cost
+inst = sp.gen_instance(24, 15, seed=42)
+for seed in range(4):
+    rng = np.random.default_rng(seed)
+    n = len(inst.arcs)
+    x = {a.key: float(v) for a, v in zip(inst.arcs, rng.uniform(0, 3, n))}
+    z = {k: v * float(u) for (k, v), u in zip(x.items(), rng.uniform(0, 1, n))}
+    print(repr(recourse_cost(inst, x, {}, z, inst.b_bar_vector())))
+"""
+
+
+def test_price_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    prices = []
+    for seed in ("4", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        res = subprocess.run([sys.executable, "-c", _PRICE_BOOKINGS],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        prices.append(res.stdout.strip())
+    assert prices[0] == prices[1]
 
 
 def _second_stage(inst, d, relax=True, tag=None, booking=None):

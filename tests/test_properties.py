@@ -72,6 +72,21 @@ def test_optimal_cone_solves_meet_the_tolerance(case, omega, cone_tol):
             assert sol.cone_residual <= cfg.cone_tol
 
 
+@PROPERTY
+@given(planning_cases(min_scenarios=4, max_scenarios=6),
+       st.floats(min_value=0.0, max_value=4.0))
+def test_hull_rule_never_beats_optimal_recourse(case, omega):
+    """m4 and m5 share the trSOCP booking; m4 prices it by the optimal
+    recourse, m5 by the hull decision rule, a feasible recourse."""
+    inst, scens = case
+    report = sp.run_comparison(inst, scens, sbar=scens.S - 2,
+                               methods=["m4", "m5"], omega=omega)
+    for tau in report.taus:
+        m4, m5 = report.cost("m4", tau), report.cost("m5", tau)
+        if math.isfinite(m4) and math.isfinite(m5):
+            assert m5 >= m4 - 1e-9 * max(1.0, abs(m4)), (tau, m4, m5)
+
+
 def _box_and_ellipsoid(case, omega):
     inst, scens = case
     box = sp.estimate_box(scens)
