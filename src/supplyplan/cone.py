@@ -39,7 +39,7 @@ class ConeRow:
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValueError("cone scale must be >= 0")
 
     def term_values(self, values: dict[str, float]) -> np.ndarray:

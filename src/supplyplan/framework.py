@@ -136,7 +136,7 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     basis = None
     for d, b in zip(ds, bs):
         d, b = (np.array([*_as_demand(inst, v).values()]) for v in (d, b))
-        hi[cover] = -(d - l0)   # d - l0 <= row, negated in row form
+        lo[cover] = d - l0
         c[y] = inst.q * b
         lp, _, warm = run_highs(c, A, lo, hi, col_lo, col_hi, basis)
         basis = warm if lp.optimal else basis

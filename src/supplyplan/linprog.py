@@ -1,21 +1,22 @@
 """Linear problem container and the LP engine behind every formulation.
 
-Plain LPs go through ``scipy.optimize.linprog``. The two loops that re-solve
-one LP many times call HiGHS through scipy's bundled binding, so that each
-solve starts from the previous one's basis: the cone cut loop, whose LP grows
-by each round's cuts, and the recourse pricer, which changes only a booking's
-demand bounds and purchase costs from one draw to the next.
+A problem reaches HiGHS in one form, ``lo <= A x <= hi`` with column bounds
+(``_row_form``), through one function, ``run_highs``, which calls scipy's
+bundled HiGHS binding. ``solve_lp`` is one cold ``run_highs`` call. The two
+loops that re-solve one LP many times call ``run_highs`` with the previous
+solve's basis: the cone cut loop, whose LP grows by each round's cuts, and
+the recourse pricer, which changes only a booking's demand bounds and
+purchase costs from one draw to the next.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog as _scipy_linprog
 from scipy.optimize._highspy import _core as _highs
 
 LE, EQ, GE = "<=", "==", ">="
@@ -43,7 +44,7 @@ class SolverConfig:
     max_cut_rounds: int = 200
 
     def __post_init__(self):
-        if self.cone_tol <= 0:
+        if not self.cone_tol > 0:
             raise ValueError("cone_tol must be > 0")
         if self.max_bb_nodes < 0 or self.max_cut_rounds < 0:
             raise ValueError("max_bb_nodes and max_cut_rounds must be >= 0")
@@ -93,6 +94,10 @@ class LinearProblem:
             raise ValueError(f"duplicate variable {name!r}")
         if not math.isfinite(obj):
             raise ValueError(f"non-finite objective coefficient for {name!r}")
+        if lb is not None and not lb < math.inf:
+            raise ValueError(f"lb of {name!r} is nan or inf")
+        if ub is not None and not ub > -math.inf:
+            raise ValueError(f"ub of {name!r} is nan or -inf")
         if lb is not None and ub is not None and lb > ub:
             raise ValueError(f"lb > ub for {name!r}")
         self._index[name] = len(self.var_names)
@@ -148,39 +153,15 @@ class LinearProblem:
         return dup
 
 
-def _to_scipy(p: LinearProblem):
-    n = p.num_vars
-    c = np.asarray(p.obj)
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in p.rows:
-        if rel == EQ:
-            eq_rows.append(coeffs)
-            eq_rhs.append(rhs)
-        elif rel == LE:
-            ub_rows.append(coeffs)
-            ub_rhs.append(rhs)
-        else:
-            ub_rows.append({k: -v for k, v in coeffs.items()})
-            ub_rhs.append(-rhs)
-
-    bounds = [(p.lb[i], p.ub[i]) for i in range(n)]
-    A_ub = rows_to_csr(p, ub_rows) if ub_rows else None
-    A_eq = rows_to_csr(p, eq_rows) if eq_rows else None
-    return c, A_ub, np.asarray(ub_rhs), A_eq, np.asarray(eq_rhs), bounds
-
-
 def _row_form(p: LinearProblem):
-    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``:
-    the rows of ``_to_scipy``, inequalities (``>=`` negated) first."""
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
-    empty = sp.csr_matrix((0, p.num_vars))
-    A = sp.vstack([empty if A_ub is None else A_ub,
-                   empty if A_eq is None else A_eq], format="csr")
-    lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-    hi = np.concatenate([b_ub, b_eq])
-    col_lo = np.array([-np.inf if lb is None else lb for lb, _ in bounds])
-    col_hi = np.array([np.inf if ub is None else ub for _, ub in bounds])
-    return c, A, lo, hi, col_lo, col_hi
+    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``,
+    one row of ``A`` per row of ``p``, in order."""
+    A = rows_to_csr(p, [coeffs for coeffs, _, _ in p.rows])
+    lo = np.array([-np.inf if rel == LE else b for _, rel, b in p.rows])
+    hi = np.array([np.inf if rel == GE else b for _, rel, b in p.rows])
+    col_lo = np.array([-np.inf if lb is None else lb for lb in p.lb])
+    col_hi = np.array([np.inf if ub is None else ub for ub in p.ub])
+    return np.array(p.obj), A, lo, hi, col_lo, col_hi
 
 
 def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
@@ -194,36 +175,17 @@ def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
                          shape=(len(rows), p.num_vars))
 
 
-def _failed(status: Status, simplex_iters: int) -> Solution:
-    objective = -math.inf if status is Status.UNBOUNDED else math.inf
-    return Solution(status, objective, simplex_iters=simplex_iters)
-
-
-_LINPROG_STATUS = {0: Status.OPTIMAL, 1: Status.ITER_LIMIT,
-                   2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
-
-
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     """Solve the linear relaxation of ``p``: integrality marks and cone rows
     are ignored, and so is ``cfg``, whose limits concern only those."""
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
-    res = _scipy_linprog(
-        c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-        A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-        bounds=bounds, method="highs",
-        options={"maxiter": _MAX_SIMPLEX_ITERS},
-    )
-    status = _LINPROG_STATUS.get(res.status)
-    if status is None:
-        raise RuntimeError(f"LP backend failure: {res.message}")
-    if status is not Status.OPTIMAL:
-        return _failed(status, res.nit)
-    values = {name: float(v) for name, v in zip(p.var_names, res.x)}
-    return Solution(Status.OPTIMAL, float(res.fun) + p.objective_offset,
-                    values, simplex_iters=res.nit)
+    lp, x, _ = run_highs(*_row_form(p))
+    if not lp.optimal:
+        return lp
+    return replace(lp, objective=lp.objective + p.objective_offset,
+                   values=dict(zip(p.var_names, x.tolist())))
 
 
-# the HiGHS model statuses linprog reports as its status 0-3
+# the HiGHS model statuses a solve reports; any other is a backend failure
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: Status.OPTIMAL,
     _highs.HighsModelStatus.kIterationLimit: Status.ITER_LIMIT,
@@ -236,8 +198,8 @@ _HIGHS_STATUS = {
 
 def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None):
     """Solve ``min c.x`` over ``lo <= A x <= hi``, ``col_lo <= x <= col_hi``
-    by dual simplex on a fresh HiGHS instance, with the options ``solve_lp``
-    gives linprog.
+    by dual simplex on a fresh HiGHS instance: every LP of the package,
+    including each cut-loop round and each pricing draw, is solved here.
 
     ``basis`` is the basis a previous call returned for the leading rows of
     ``A``; rows appended since are made basic, so the solve starts from it.
@@ -275,7 +237,10 @@ def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None):
             f"LP backend failure: {h.modelStatusToString(model_status)}")
     info = h.getInfo()
     if status is not Status.OPTIMAL:
-        return _failed(status, info.simplex_iteration_count), None, None
+        objective = -math.inf if status is Status.UNBOUNDED else math.inf
+        return (Solution(status, objective,
+                         simplex_iters=info.simplex_iteration_count),
+                None, None)
     sol = Solution(status, info.objective_function_value,
                    simplex_iters=info.simplex_iteration_count)
     return sol, np.asarray(h.getSolution().col_value), h.getBasis()

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .linprog import (LinearProblem, Solution, SolverConfig, Status,
-                      _highs, _to_scipy, solve_lp)
+                      _highs, _row_form, solve_lp)
 
 # how milp's message names HiGHS's "primal infeasible or unbounded"
 _UNDECIDED = f"HiGHS Status {int(_highs.HighsModelStatus.kUnboundedOrInfeasible)}:"
@@ -23,15 +23,9 @@ def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     if not p.any_integer():
         return solve_lp(p, cfg)
 
-    c, A_ub, b_ub, A_eq, b_eq, bounds = _to_scipy(p)
-    constraints = []
-    if A_ub is not None:
-        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
-    if A_eq is not None:
-        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
-    lo = [-np.inf if b is None else b for b, _ in bounds]
-    hi = [np.inf if b is None else b for _, b in bounds]
-    res = milp(c, constraints=constraints, bounds=Bounds(lo, hi),
+    c, A, lo, hi, col_lo, col_hi = _row_form(p)
+    res = milp(c, constraints=LinearConstraint(A, lo, hi),
+               bounds=Bounds(col_lo, col_hi),
                integrality=np.asarray(p.integer, dtype=int),
                options={"node_limit": cfg.max_bb_nodes, "mip_rel_gap": 0.0})
 

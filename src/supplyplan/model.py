@@ -11,6 +11,7 @@ net cost is ``(1 - alpha) * q * t``.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping
@@ -59,6 +60,15 @@ class Instance:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
+        numbers = [("q", self.q)]
+        numbers += [(f"supplier {s.id}: {f}", getattr(s, f))
+                    for s in self.suppliers for f in ("r", "v")]
+        numbers += [(f"destination {d.id}: {f}", getattr(d, f))
+                    for d in self.destinations for f in ("b_bar", "g", "l0")]
+        numbers += [(f"arc {a.key}: t", a.t) for a in self.arcs]
+        for what, value in numbers:
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite, got {value}")
         if self.q <= 0:
             raise ValueError("vehicle capacity q must be > 0")
         if not 0.0 <= self.alpha <= 1.0:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,31 @@ def test_non_finite_cost_cell_is_config_error(data_dir, tmp_path, capsys):
     argv[argv.index("--cost-csv") + 1] = str(costs)
     assert main(argv) == 1
     assert "error: costs must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_supplier_minimum_is_config_error(tmp_path, capsys):
+    assert main(["gen", "--suppliers", "4", "--destinations", "2",
+                 "--scenarios", "6", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.json"
+    doc = json.loads(path.read_text())
+    doc["suppliers"][0]["r"] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--model", "sp"] + _common(tmp_path, tmp_path)) == 1
+    assert "r must be finite" in capsys.readouterr().err
+
+
+def test_compare_matches_the_stored_report(tmp_path):
+    """m1-m4 and ws on a seeded 6x4x16 instance, byte for byte. m5 is left
+    out: its hull rule reads per-scenario blocks that the optimum does not
+    determine."""
+    assert main(["gen", "--suppliers", "6", "--destinations", "4",
+                 "--scenarios", "16", "--seed", "12",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["compare", "--methods", "m1,m2,m3,m4", "--omega", "2.75"]
+                + _common(tmp_path, tmp_path)) == 0
+    golden = (Path(__file__).parent / "golden"
+              / "compare_6x4x16_seed12_m1-m4.csv")
+    assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
 
 
 def test_montecarlo_prices_m5_by_hull_rule(tmp_path):

@@ -209,8 +209,9 @@ def test_copy_carries_cone_rows(cfg):
 
 
 def test_negative_scale_rejected():
-    with pytest.raises(ValueError):
-        ConeRow("w", {}, [{"x": 1.0}], scale=-1.0)
+    for scale in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ConeRow("w", {}, [{"x": 1.0}], scale=scale)
 
 
 def test_violation_is_relative():

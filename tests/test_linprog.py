@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 import supplyplan as sp
+from supplyplan import linprog
 from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
 
 import helpers
@@ -72,6 +73,10 @@ def test_validation_errors():
         p.add_var("x")
     with pytest.raises(ValueError):
         p.add_var("bad", lb=2.0, ub=1.0)
+    for bounds in ({"lb": math.nan}, {"ub": math.nan}, {"lb": math.inf},
+                   {"ub": -math.inf}):
+        with pytest.raises(ValueError, match="is nan or"):
+            p.add_var("bad", **bounds)
     with pytest.raises(ValueError):
         p.add_row({"nope": 1.0}, "<=", 0.0)
     with pytest.raises(ValueError):
@@ -80,6 +85,51 @@ def test_validation_errors():
         p.add_row({"x": 1.0}, "<", 0.0)
     with pytest.raises(ValueError):
         p.add_row({"x": 1.0}, "<=", float("inf"))
+
+
+def test_add_var_accepts_infinite_bounds_on_the_open_side(cfg):
+    p = sp.LinearProblem()
+    p.add_var("x", obj=1.0, lb=-math.inf, ub=math.inf)
+    p.add_row({"x": 1.0}, ">=", -3.0)
+    assert sp.solve_lp(p, cfg).objective == pytest.approx(-3.0, abs=1e-9)
+
+
+def test_row_form_keeps_row_order_and_relations():
+    p = sp.LinearProblem()
+    p.add_var("x", obj=1.0, ub=10.0)
+    p.add_var("y", obj=2.0, lb=None)
+    p.add_row({"x": 1.0, "y": 1.0}, ">=", 2.0)
+    p.add_row({"y": 3.0}, "==", 1.5)
+    p.add_row({"x": -1.0}, "<=", 4.0)
+    c, A, lo, hi, col_lo, col_hi = _row_form(p)
+    assert c.tolist() == [1.0, 2.0]
+    assert A.toarray().tolist() == [[1.0, 1.0], [0.0, 3.0], [-1.0, 0.0]]
+    assert lo.tolist() == [2.0, 1.5, -math.inf]
+    assert hi.tolist() == [math.inf, 1.5, 4.0]
+    assert col_lo.tolist() == [0.0, -math.inf]
+    assert col_hi.tolist() == [10.0, math.inf]
+
+
+def test_solve_lp_solves_through_run_highs(cfg, monkeypatch):
+    calls, run = [], linprog.run_highs
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(linprog, "run_highs", counting)
+    p = _simple_problem()
+    p.objective_offset = 100.0
+    sol = sp.solve_lp(p, cfg)
+    assert len(calls) == 1 and len(calls[0]) == 6   # one cold solve
+    assert sol.objective == pytest.approx(91.0, abs=1e-9)
+    assert sol.values["y"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_problem_without_variables_is_a_backend_failure(cfg):
+    """HiGHS reports an empty model as "Empty", which no Status stands for."""
+    with pytest.raises(RuntimeError, match="Empty"):
+        sp.solve_lp(sp.LinearProblem(), cfg)
 
 
 def test_copy_is_independent(cfg):
@@ -104,6 +154,8 @@ def test_solver_config_validation():
         sp.SolverConfig(cone_tol=0.0)
     with pytest.raises(ValueError):
         sp.SolverConfig(cone_tol=-1e-9)
+    with pytest.raises(ValueError):
+        sp.SolverConfig(cone_tol=math.nan)
     with pytest.raises(ValueError):
         sp.SolverConfig(max_cut_rounds=-5)
     with pytest.raises(ValueError):

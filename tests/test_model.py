@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,19 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d,),
                     arcs=(a, sp.Arc("s1", "p1", "d1", 3.0)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["q", "r", "v", "g", "l0", "b_bar", "t"])
+def test_from_json_rejects_non_finite_numbers(tight, name, value):
+    doc = tight.to_json()
+    holder = {"q": doc["meta"], "r": doc["suppliers"][0],
+              "v": doc["suppliers"][0], "g": doc["destinations"][0],
+              "l0": doc["destinations"][0], "b_bar": doc["destinations"][0],
+              "t": doc["arcs"][0]}[name]
+    holder[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sp.Instance.from_json(doc)
 
 
 def test_validate_warns_on_outlier_capacity():
