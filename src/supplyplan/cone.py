@@ -2,26 +2,28 @@
 
 A cone row encodes ``epi - affine >= scale * ||(terms)||_2`` (membership of
 ``(epi - affine)/scale`` and the term vector in the Lorentz cone). The solver
-lifts each cone onto a slack ``0 <= s <= epi - affine`` (one linear row) and
-approximates ``s >= scale * ||(terms)||`` by supporting-hyperplane cuts of the
-norm on ``s`` and the terms only: at a point with term vector ``t != 0`` the
-cut ``s - scale * (t/||t||) . terms >= 0``, at the start the axis-aligned cuts
-``s -/+ scale * term_l >= 0`` and the uniform direction. Every cut is a
-gradient inequality of a convex norm, hence valid for the cone, and none
-copies the affine part, so the LP stays sparse.
+works on two sparse matrices over the problem's variables: ``E``, one row
+``epi - affine`` per cone, and ``T``, the terms of every live cone stacked,
+each term knowing its cone and that cone's scale. A live cone (scale > 0,
+at least one term) is lifted onto a slack ``0 <= s <= E_i x`` (one linear
+row); a degenerate one is the plain row ``E_i x >= 0``.
 
-Violations are measured on the original cones at the LP point. A violated
-cone's cut on its slack separates the point, as
-``s <= epi - affine < scale * ||t||``.
+A cut is a weight vector ``w`` over a cone's terms, written as the row
+``s - scale * w . terms >= 0`` on the slack and the terms only, never on the
+wide affine part, so the LP stays sparse. Every ``w`` used has unit norm,
+so each cut is a gradient inequality of the norm, hence valid for the cone.
+The first LP carries the axis cuts ``w = +/-e_l`` and the uniform
+direction; each round then cuts every cone its point violates at
+``w = t/||t||``, ``t = T x``. A violated cone's cut separates the point, as
+``s <= E_i x < scale * ||t||``.
 
-The problem and its initial cuts are assembled into one sparse matrix once.
-Each round appends its violated cuts as one block of rows and re-solves
-HiGHS warm from the previous round's basis, the new rows basic.
+The LP (problem rows, link rows, initial cuts) is assembled once. Each
+round appends its cuts as one block of rows and re-solves HiGHS warm from
+the previous round's basis, the new rows basic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,49 +44,6 @@ class ConeRow:
         if not self.scale >= 0:
             raise ValueError("cone scale must be >= 0")
 
-    def term_values(self, values: dict[str, float]) -> np.ndarray:
-        return np.array([sum(c * values.get(n, 0.0) for n, c in term.items())
-                         for term in self.cone_terms])
-
-    def lhs(self, values: dict[str, float]) -> float:
-        affine = sum(c * values.get(n, 0.0) for n, c in self.affine_part.items())
-        return values.get(self.epigraph_var, 0.0) - affine
-
-    def violation(self, values: dict[str, float]) -> tuple[float, np.ndarray]:
-        """Relative cone violation and the term vector at ``values``."""
-        t = self.term_values(values)
-        nrm = float(np.linalg.norm(t))
-        viol = self.scale * nrm - self.lhs(values)
-        return viol / max(1.0, nrm), t
-
-
-def _cut_coeffs(cone: ConeRow, weights) -> dict[str, float]:
-    """Row ``epi - affine - scale * sum_l w_l * term_l >= 0`` as a coeff map."""
-    coeffs: dict[str, float] = {cone.epigraph_var: 1.0}
-    for name, c in cone.affine_part.items():
-        coeffs[name] = coeffs.get(name, 0.0) - c
-    for w, term in zip(weights, cone.cone_terms):
-        if w == 0.0:
-            continue
-        for name, c in term.items():
-            coeffs[name] = coeffs.get(name, 0.0) - cone.scale * w * c
-    return coeffs
-
-
-def _violated_cuts(live, values, tol):
-    """Cuts on the slacks of the cones ``values`` violates by more than
-    ``tol``, and the largest relative violation (0 if none). ``live`` pairs
-    each cone with its lifted form ``ConeRow(slack, {}, terms, scale)``."""
-    cuts, residual = [], 0.0
-    for c, lifted in live:
-        rel, t = c.violation(values)
-        residual = max(residual, rel)
-        if rel > tol:
-            nrm = float(np.linalg.norm(t))
-            if nrm > 0.0:  # the origin is covered by the axis cuts
-                cuts.append(_cut_coeffs(lifted, t / nrm))
-    return cuts, residual
-
 
 def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     """Solve ``p`` subject to its cone rows (continuous only)."""
@@ -92,41 +51,71 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     if p.any_integer():
         raise ValueError("cone problems are solved in continuous variables only")
 
-    work, live = p.copy(), []
-    for c in p.cones:
-        if c.scale == 0.0 or not c.cone_terms:
-            # degenerate cone: plain linear row epi >= affine
-            work.add_row(_cut_coeffs(c, []), ">=", 0.0)
-            continue
-        # slack s <= epi - affine, named by a tuple, which no str name equals
-        s = work.add_var(("cone slack", len(live)))
-        work.add_row({**_cut_coeffs(c, []), s: -1.0}, ">=", 0.0)
-        lifted = ConeRow(s, {}, c.cone_terms, c.scale)
-        live.append((c, lifted))
-        L = len(c.cone_terms)
-        for l in range(L):
-            for sign in (1.0, -1.0):
-                w = [0.0] * L
-                w[l] = sign
-                work.add_row(_cut_coeffs(lifted, w), ">=", 0.0)
-        # uniform direction, unit norm; tightens the start when many terms
-        # are active at once
-        work.add_row(_cut_coeffs(lifted, [1.0 / math.sqrt(L)] * L), ">=", 0.0)
-    cost, A, lo, hi, col_lo, col_hi = _row_form(work)
+    cost, A, lo, hi, col_lo, col_hi = _row_form(p)
+    n = p.num_vars
+    is_live = np.array([c.scale > 0.0 and bool(c.cone_terms)
+                        for c in p.cones], dtype=bool)
+    live = [c for c, on in zip(p.cones, is_live) if on]
+    k = len(live)
+    E = (rows_to_csr(p, [{c.epigraph_var: 1.0} for c in p.cones])
+         - rows_to_csr(p, [c.affine_part for c in p.cones]))
+    T = rows_to_csr(p, [term for c in live for term in c.cone_terms])
+    sizes = np.array([len(c.cone_terms) for c in live], dtype=int)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(k), sizes)     # term -> its cone
+    scale = np.array([c.scale for c in live])
+    term_scale = sp.diags(scale[owner])
+
+    def cut_rows(W, cone):
+        """Row ``s_cone[i] - sum_l W[i, l] scale_l term_l >= 0`` per row of W."""
+        on_slack = sp.csr_matrix((np.ones(len(cone)), cone,
+                                  np.arange(len(cone) + 1)),
+                                 shape=(len(cone), k))
+        return sp.hstack([-(W @ term_scale) @ T, on_slack], format="csr")
+
+    # axis cuts +/-e_l, then the uniform direction, which tightens the start
+    # when many terms are active at once
+    axis = sp.identity(len(owner), format="csr")
+    uniform = sp.csr_matrix((np.repeat(1.0 / np.sqrt(sizes), sizes),
+                             np.arange(len(owner)), bounds),
+                            shape=(k, len(owner)))
+    first = cut_rows(sp.vstack([axis, -axis, uniform]),
+                     np.concatenate([owner, owner, np.arange(k)]))
+    link = sp.csr_matrix((np.full(k, -1.0), (np.flatnonzero(is_live),
+                                             np.arange(k))),
+                         shape=(len(p.cones), k))
+    A = sp.vstack([sp.hstack([A, sp.csr_matrix((A.shape[0], k))]),
+                   sp.hstack([E, link]), first], format="csr")
+    added = len(p.cones) + first.shape[0]
+    lo = np.concatenate([lo, np.zeros(added)])
+    hi = np.concatenate([hi, np.full(added, np.inf)])
+    cost = np.concatenate([cost, np.zeros(k)])
+    col_lo = np.concatenate([col_lo, np.zeros(k)])
+    col_hi = np.concatenate([col_hi, np.full(k, np.inf)])
 
     lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi)
     rounds, iters = 1, lp.simplex_iters
     while lp.optimal:
-        values = dict(zip(p.var_names, x.tolist()))  # drops the slacks
-        cuts, residual = _violated_cuts(live, values, cfg.cone_tol)
-        if not cuts or rounds > cfg.max_cut_rounds:
-            status = Status.CUT_LIMIT if cuts else Status.OPTIMAL
-            return Solution(status, lp.objective + p.objective_offset, values,
-                            cone_residual=residual, lp_rounds=rounds,
-                            simplex_iters=iters)
-        A = sp.vstack([A, rows_to_csr(work, cuts)], format="csr")
-        lo = np.concatenate([lo, np.zeros(len(cuts))])
-        hi = np.concatenate([hi, np.full(len(cuts), np.inf)])
+        x = x[:n]  # drops the slacks
+        t = T @ x
+        nrm = np.sqrt(np.bincount(owner, t * t, minlength=k))
+        rel = (scale * nrm - (E @ x)[is_live]) / np.maximum(1.0, nrm)
+        # the origin is covered by the axis cuts
+        violated = (rel > cfg.cone_tol) & (nrm > 0.0)
+        cut = np.flatnonzero(violated)
+        if not cut.size or rounds > cfg.max_cut_rounds:
+            status = Status.CUT_LIMIT if cut.size else Status.OPTIMAL
+            return Solution(status, lp.objective + p.objective_offset,
+                            dict(zip(p.var_names, x.tolist())),
+                            cone_residual=float(rel.max(initial=0.0)),
+                            lp_rounds=rounds, simplex_iters=iters)
+        on_cut = np.flatnonzero(violated[owner])   # their terms
+        W = sp.csr_matrix((t[on_cut] / nrm[owner[on_cut]], on_cut,
+                           np.concatenate([[0], np.cumsum(sizes[cut])])),
+                          shape=(cut.size, len(owner)))
+        A = sp.vstack([A, cut_rows(W, cut)], format="csr")
+        lo = np.concatenate([lo, np.zeros(cut.size)])
+        hi = np.concatenate([hi, np.full(cut.size, np.inf)])
         lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi, basis)
         rounds += 1
         iters += lp.simplex_iters

@@ -152,7 +152,7 @@ def _price_m5(inst, fs, d, b) -> float:
     accepts just outside the hull gets the rule of its projection, which
     under-covers ``d``."""
     prefix_demands, trsocp_sol = fs.hull
-    lam, phi = project_simplex_lsq(d, list(prefix_demands), tol=1e-12)
+    lam, phi = project_simplex_lsq(d, list(prefix_demands))
     try:
         y, z = recover_adjustable_m5(inst, trsocp_sol, lam, phi, d)
     except PhiPositive:

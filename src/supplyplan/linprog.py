@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,8 +47,13 @@ class SolverConfig:
     def __post_init__(self):
         if not self.cone_tol > 0:
             raise ValueError("cone_tol must be > 0")
-        if self.max_bb_nodes < 0 or self.max_cut_rounds < 0:
-            raise ValueError("max_bb_nodes and max_cut_rounds must be >= 0")
+        for name in ("max_bb_nodes", "max_cut_rounds"):
+            try:
+                valid = operator.index(getattr(self, name)) >= 0
+            except TypeError:   # not an integer: NaN, 2.5, "3"
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be an integer >= 0")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import supplyplan as sp
 from supplyplan import cone
-from supplyplan.cone import ConeRow, _cut_coeffs
+from supplyplan.cone import ConeRow
 from supplyplan.linprog import Status, _row_form
 
 
@@ -125,12 +125,14 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
 
     live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
     assert len(live) == 6
+    # an initial cut with the affine part copied in spans epi, the affine
+    # names and its terms' names: one term per axis cut (+/-), all in the
+    # uniform cut
     unlifted = _row_form(p)[1].nnz
     for c in live:
-        L = len(c.cone_terms)
-        starts = [np.eye(L)[l] * sign for l in range(L) for sign in (1, -1)]
-        starts.append(np.full(L, 1.0 / math.sqrt(L)))
-        unlifted += sum(len(_cut_coeffs(c, w)) for w in starts)
+        base = {c.epigraph_var, *c.affine_part}
+        unlifted += 2 * sum(len(base | set(term)) for term in c.cone_terms)
+        unlifted += len(base.union(*c.cone_terms))
     first, final = matrices[0], matrices[-1]
     assert first.nnz <= 0.5 * unlifted
     # a later cut touches the slack and the term variables only
@@ -172,10 +174,19 @@ def test_outer_approximation_is_a_lower_bound(cfg):
 
 
 def test_cut_limit_status():
+    # min ||x|| over sum_i i x_i >= 10: x is free, so each round's cut moves
+    # the point and one round cannot close the cone
     cfg = sp.SolverConfig(max_cut_rounds=1, cone_tol=1e-12)
-    p = _norm_problem(list(range(1, 9)), omega=1.0)
+    p = sp.LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    for i in range(8):
+        p.add_var(f"x{i}", lb=None)
+    p.add_row({f"x{i}": i + 1.0 for i in range(8)}, ">=", 10.0)
+    p.add_cone(ConeRow("w", {}, [{f"x{i}": 1.0} for i in range(8)], scale=1.0))
     sol = sp.solve_cone(p, cfg)
-    assert sol.status in (Status.CUT_LIMIT, Status.OPTIMAL)
+    assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 2
+    assert sol.cone_residual > cfg.cone_tol
+    assert sol.objective <= 10.0 / math.sqrt(204.0)  # 204 = sum_i i^2
 
 
 def test_rejects_integer_marks(cfg):
@@ -214,8 +225,39 @@ def test_negative_scale_rejected():
             ConeRow("w", {}, [{"x": 1.0}], scale=scale)
 
 
-def test_violation_is_relative():
-    cone = ConeRow("w", {}, [{"x": 1.0}], scale=1.0)
-    rel, t = cone.violation({"w": 0.0, "x": 200.0})
-    assert rel == pytest.approx(1.0)  # (200 - 0) / max(1, 200)
-    assert t[0] == 200.0
+def test_residual_is_relative():
+    # the initial cuts give w = (3 + 4) / sqrt(2) < ||(3, 4)|| = 5; the
+    # residual divides the violation by max(1, ||t||) = 5
+    p = _norm_problem([3.0, 4.0], omega=1.0)
+    sol = sp.solve_cone(p, sp.SolverConfig(max_cut_rounds=0))
+    assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 1
+    assert sol.cone_residual == pytest.approx((5.0 - 7.0 / math.sqrt(2.0)) / 5.0,
+                                              rel=1e-9)
+
+
+def test_without_cone_rows_equals_solve_lp(cfg):
+    p = sp.LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    for name, value in (("x0", 3.0), ("x1", -4.0)):
+        p.add_var(name, lb=None)
+        p.add_row({name: 1.0}, "==", value)
+    p.add_row({"w": 1.0, "x0": -2.0, "x1": 1.0}, ">=", 0.0)
+    sol, lp = sp.solve_cone(p, cfg), sp.solve_lp(p)
+    assert sol.optimal and lp.optimal
+    assert sol.objective == lp.objective == pytest.approx(10.0)
+    assert sol.values == lp.values
+    assert sol.cone_residual == 0.0 and sol.lp_rounds == 1
+
+
+def test_degenerate_cones_only(cfg):
+    # no live cone, so no slack and no cut: w >= 2x and w >= 3x at x = 5
+    p = sp.LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    p.add_var("x", lb=None)
+    p.add_row({"x": 1.0}, "==", 5.0)
+    p.add_cone(ConeRow("w", {"x": 2.0}, [{"x": 1.0}], scale=0.0))
+    p.add_cone(ConeRow("w", {"x": 3.0}, [], scale=1.0))
+    sol = sp.solve_cone(p, cfg)
+    assert sol.optimal and sol.objective == pytest.approx(15.0, abs=1e-7)
+    assert sol.cone_residual == 0.0 and sol.lp_rounds == 1
+    assert list(sol.values) == p.var_names

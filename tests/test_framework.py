@@ -94,8 +94,7 @@ def test_m5_finite_iff_projection_inside_hull(tight, tight_scens, small_report):
     for tau in small_report.taus:
         prefix = tight_scens.head(tau)
         d_next = tight_scens.demands[tau]
-        lam, phi = sp.project_simplex_lsq(d_next, list(prefix.demands),
-                                          tol=1e-12)
+        lam, phi = sp.project_simplex_lsq(d_next, list(prefix.demands))
         inside = phi <= sp.PHI_ZERO_TOL * (float(d_next @ d_next) + 1.0)
         assert math.isfinite(small_report.cost("m5", tau)) == inside
 

@@ -156,10 +156,11 @@ def test_solver_config_validation():
         sp.SolverConfig(cone_tol=-1e-9)
     with pytest.raises(ValueError):
         sp.SolverConfig(cone_tol=math.nan)
-    with pytest.raises(ValueError):
-        sp.SolverConfig(max_cut_rounds=-5)
-    with pytest.raises(ValueError):
-        sp.SolverConfig(max_bb_nodes=-3)
+    for bad in (-5, math.nan, 2.5):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            sp.SolverConfig(max_cut_rounds=bad)
+        with pytest.raises(ValueError, match="integer >= 0"):
+            sp.SolverConfig(max_bb_nodes=bad)
     assert sp.SolverConfig(max_cut_rounds=0).max_cut_rounds == 0
 
 

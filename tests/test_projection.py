@@ -12,7 +12,7 @@ def _on_simplex(v, tol=1e-9):
 def test_lsq_recovers_interior_point():
     cols = [np.array([0.0, 0.0]), np.array([4.0, 0.0]), np.array([0.0, 4.0])]
     target = 0.25 * cols[0] + 0.5 * cols[1] + 0.25 * cols[2]
-    lam, phi = project_simplex_lsq(target, cols, tol=1e-12)
+    lam, phi = project_simplex_lsq(target, cols)
     assert _on_simplex(lam)
     assert phi <= 1e-12
     assert np.allclose(sum(l * c for l, c in zip(lam, cols)), target, atol=1e-6)
@@ -21,7 +21,7 @@ def test_lsq_recovers_interior_point():
 def test_lsq_outside_hull_distance():
     # hull is the segment [1, 3] on the line; distance from 5 is 2
     cols = [np.array([1.0]), np.array([3.0])]
-    lam, phi = project_simplex_lsq(np.array([5.0]), cols, tol=1e-12)
+    lam, phi = project_simplex_lsq(np.array([5.0]), cols)
     assert lam[1] == pytest.approx(1.0, abs=1e-9)
     assert phi == pytest.approx(4.0, rel=1e-9)
 
@@ -43,7 +43,7 @@ def test_lsq_satisfies_kkt_on_random_problems():
         k, n = int(rng.integers(2, 9)), int(rng.integers(1, 6))
         C = rng.uniform(-5, 5, size=(n, k))
         d = rng.uniform(-6, 6, size=n)
-        lam, phi = project_simplex_lsq(d, list(C.T), tol=1e-12)
+        lam, phi = project_simplex_lsq(d, list(C.T))
         assert _on_simplex(lam)
         assert phi == pytest.approx(float(np.sum((C @ lam - d) ** 2)), rel=1e-9)
         # stationarity: gradient equal on the support, no smaller off-support
@@ -55,7 +55,7 @@ def test_lsq_satisfies_kkt_on_random_problems():
 def test_lsq_matches_full_grid_on_three_points():
     cols = [np.array([0.0, 0.0]), np.array([2.0, 1.0]), np.array([1.0, 3.0])]
     target = np.array([1.7, 0.4])
-    lam, phi = project_simplex_lsq(target, cols, tol=1e-12)
+    lam, phi = project_simplex_lsq(target, cols)
     # dense grid over the 2-simplex as an independent oracle
     best = np.inf
     for a in np.linspace(0, 1, 201):
@@ -73,7 +73,7 @@ def test_lsq_returns_a_basic_solution():
     inst = sp.gen_instance(6, 2, seed=0)
     C = sp.gen_scenarios(inst, 30, seed=1).demands
     d = np.array([0.2, 0.5, 0.3]) @ C[[1, 4, 9]]
-    lam, phi = project_simplex_lsq(d, list(C), tol=1e-12)
+    lam, phi = project_simplex_lsq(d, list(C))
     assert _on_simplex(lam)
     assert np.count_nonzero(lam) <= C.shape[1] + 1
     assert np.abs(lam @ C - d).max() <= 1e-9
