@@ -113,34 +113,33 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     inf if infeasible: an m5 booking (with a ``hull``) by its hull decision
     rule, any other by the optimal fixed-booking recourse.
 
-    A relaxed recourse LP is built once; each draw overwrites its demand
-    cover (C3) bounds and purchase costs and re-solves HiGHS from the last
-    optimal draw's basis. Only the optimal value leaves, and that is the same
-    from any optimal vertex."""
+    The recourse problem is built once; each draw overwrites its demand
+    cover (C3) bounds and purchase costs and re-solves it in HiGHS, a
+    relaxed LP from the last optimal draw's basis, an integer one (``relax``
+    false) as a MIP within ``cfg``'s node limit. Only the optimal value
+    leaves, and that is the same from any optimal vertex."""
     if isinstance(booking, FirstStage) and booking.hull is not None:
         yield from (_price_m5(inst, booking, d, b) for d, b in zip(ds, bs))
         return
-    if not relax:
-        for d, b in zip(ds, bs):
-            yield _objective_or_inf(solve(build_recourse(
-                inst, booking, d, b, relax=False), cfg))
-        return
     if len(ds) == 0:
         return
-    p = build_recourse(inst, booking, ds[0], bs[0])
+    nodes = (cfg or SolverConfig()).max_bb_nodes
+    p = build_recourse(inst, booking, ds[0], bs[0], relax)
     c, A, lo, hi, col_lo, col_hi = _row_form(p)
     dests = inst.destinations
     cover = slice(A.shape[0] - len(dests), None)  # C3 rows are added last
     y = [p.var_names.index(y_name(dest.id)) for dest in dests]
     l0 = np.array([dest.l0 for dest in dests], dtype=float)
+    integer = np.array(p.integer, dtype=np.int32)   # once, not per draw
     basis = None
     for d, b in zip(ds, bs):
         d, b = (np.array([*_as_demand(inst, v).values()]) for v in (d, b))
         lo[cover] = d - l0
         c[y] = inst.q * b
-        lp, _, warm = run_highs(c, A, lo, hi, col_lo, col_hi, basis)
-        basis = warm if lp.optimal else basis
-        yield _objective_or_inf(lp) + p.objective_offset
+        sol, _, warm = run_highs(c, A, lo, hi, col_lo, col_hi, basis,
+                                 integer, nodes)
+        basis = warm if sol.optimal else basis
+        yield _objective_or_inf(sol) + p.objective_offset
 
 
 def _price_m5(inst, fs, d, b) -> float:

@@ -1,8 +1,9 @@
-"""Linear problem container and the LP engine behind every formulation.
+"""Linear problem container and the HiGHS engine behind every formulation.
 
 A problem reaches HiGHS in one form, ``lo <= A x <= hi`` with column bounds
 (``_row_form``), through one function, ``run_highs``, which calls scipy's
-bundled HiGHS binding. ``solve_lp`` is one cold ``run_highs`` call. The two
+bundled HiGHS binding, for an LP and, given integrality marks, for a MIP
+(``mip.solve_mip``). ``solve_lp`` is one cold ``run_highs`` call. The two
 loops that re-solve one LP many times call ``run_highs`` with the previous
 solve's basis: the cone cut loop, whose LP grows by each round's cuts, and
 the recourse pricer, which changes only a booking's demand bounds and
@@ -64,7 +65,7 @@ class Solution:
     gap: float = 0.0             # MIP only
     cone_residual: float = 0.0   # cone problems only
     lp_rounds: int = 0           # cone problems only: LP solves of the cut loop
-    simplex_iters: int = 0       # LP and cone problems
+    simplex_iters: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -145,19 +146,6 @@ class LinearProblem:
     def any_integer(self) -> bool:
         return any(self.integer)
 
-    def copy(self) -> "LinearProblem":
-        dup = LinearProblem()
-        dup.var_names = list(self.var_names)
-        dup._index = dict(self._index)
-        dup.obj = list(self.obj)
-        dup.lb = list(self.lb)
-        dup.ub = list(self.ub)
-        dup.integer = list(self.integer)
-        dup.rows = [(dict(c), r, b) for c, r, b in self.rows]
-        dup.cones = list(self.cones)
-        dup.objective_offset = self.objective_offset
-        return dup
-
 
 def _row_form(p: LinearProblem):
     """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``,
@@ -191,62 +179,86 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
                    values=dict(zip(p.var_names, x.tolist())))
 
 
-# the HiGHS model statuses a solve reports; any other is a backend failure
+# the HiGHS model statuses a solve reports; any other is a backend failure.
+# A MIP's only limit is its node limit, so a solution limit can mean nothing
+# else.
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: Status.OPTIMAL,
     _highs.HighsModelStatus.kIterationLimit: Status.ITER_LIMIT,
     _highs.HighsModelStatus.kTimeLimit: Status.ITER_LIMIT,
+    _highs.HighsModelStatus.kSolutionLimit: Status.NODE_LIMIT,
     _highs.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
     _highs.HighsModelStatus.kModelError: Status.INFEASIBLE,
     _highs.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
 }
+_FEASIBLE = int(_highs.SolutionStatus.kSolutionStatusFeasible)
 
 
-def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None):
+def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None,
+              integrality=None, max_bb_nodes=SolverConfig.max_bb_nodes):
     """Solve ``min c.x`` over ``lo <= A x <= hi``, ``col_lo <= x <= col_hi``
-    by dual simplex on a fresh HiGHS instance: every LP of the package,
-    including each cut-loop round and each pricing draw, is solved here.
+    on a fresh HiGHS instance: every solve of the package, LP or MIP,
+    including each cut-loop round and each pricing draw, is made here.
 
-    ``basis`` is the basis a previous call returned for the leading rows of
-    ``A``; rows appended since are made basic, so the solve starts from it.
-    Returns ``(solution, x, basis)``; the solution carries the objective
-    without ``objective_offset`` and no values, and ``x`` and ``basis`` are
-    None unless it is optimal.
+    An LP is solved by dual simplex. ``basis`` is the basis a previous LP
+    call returned for the leading rows of ``A``; rows appended since are made
+    basic, so the solve starts from it. Columns marked in ``integrality``
+    make a MIP, solved by HiGHS's branch and bound within ``max_bb_nodes``
+    nodes with its relative gap off. Returns ``(solution, x, basis)``; the
+    solution carries the objective without ``objective_offset`` and no
+    values, ``x`` is None unless the solve found a solution (an optimum, or
+    a MIP's incumbent at the node limit) and ``basis`` is None unless an LP
+    is optimal.
     """
     m, n = A.shape
     # this passModel overload reads the buffers in place, for A's sizes
     arrays = [np.ascontiguousarray(v, dtype=float)
               for v in (c, col_lo, col_hi, lo, hi)]
-    if [v.size for v in arrays] != [n, n, n, m, m]:
-        raise ValueError("cost, bound and row arrays must match A's shape")
+    marks = np.ascontiguousarray(
+        np.zeros(n) if integrality is None else integrality, dtype=np.int32)
+    if [v.size for v in (*arrays, marks)] != [n, n, n, m, m, n]:
+        raise ValueError("cost, bound, row and integrality arrays must match "
+                         "A's shape")
+    mip = marks.any()
     h = _highs._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("simplex_strategy", 1)   # dual
     h.setOptionValue("simplex_iteration_limit", _MAX_SIMPLEX_ITERS)
+    if mip:
+        h.setOptionValue("mip_max_nodes", int(max_bb_nodes))
+        h.setOptionValue("mip_rel_gap", 0.0)
     error = _highs.HighsStatus.kError
     if h.passModel(n, m, A.nnz, int(_highs.MatrixFormat.kRowwise),
                    int(_highs.ObjSense.kMinimize), 0.0, *arrays,
-                   A.indptr, A.indices, A.data,
-                   np.zeros(n, dtype=np.int32)) == error:  # all continuous
-        raise RuntimeError("LP backend failure: HiGHS rejected the model")
+                   A.indptr, A.indices, A.data, marks) == error:
+        raise RuntimeError("HiGHS backend failure: the model was rejected")
     if basis is not None:
         new_rows = m - len(basis.row_status)
         basis.row_status = [*basis.row_status,
                             *[_highs.HighsBasisStatus.kBasic] * new_rows]
         if h.setBasis(basis) == error:
-            raise RuntimeError("LP backend failure: HiGHS rejected the basis")
+            raise RuntimeError("HiGHS backend failure: the basis was rejected")
     h.run()
     model_status = h.getModelStatus()
     status = _HIGHS_STATUS.get(model_status)
+    if mip and model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible:
+        # a MIP whose relaxation has an optimum is bounded, so infeasible
+        relaxed, _, _ = run_highs(c, A, lo, hi, col_lo, col_hi)
+        status = (Status.UNBOUNDED if relaxed.status is Status.UNBOUNDED
+                  else Status.INFEASIBLE)
     if status is None:
         raise RuntimeError(
-            f"LP backend failure: {h.modelStatusToString(model_status)}")
+            f"HiGHS backend failure: {h.modelStatusToString(model_status)}")
     info = h.getInfo()
-    if status is not Status.OPTIMAL:
+    iters = info.simplex_iteration_count
+    if (status not in (Status.OPTIMAL, Status.NODE_LIMIT)
+            or int(info.primal_solution_status) != _FEASIBLE):
         objective = -math.inf if status is Status.UNBOUNDED else math.inf
-        return (Solution(status, objective,
-                         simplex_iters=info.simplex_iteration_count),
-                None, None)
-    sol = Solution(status, info.objective_function_value,
-                   simplex_iters=info.simplex_iteration_count)
-    return sol, np.asarray(h.getSolution().col_value), h.getBasis()
+        gap = math.inf if status is Status.NODE_LIMIT else 0.0
+        sol = Solution(status, objective, gap=gap, simplex_iters=iters)
+        return sol, None, None
+    objective = info.objective_function_value
+    gap = objective - info.mip_dual_bound if mip else 0.0
+    sol = Solution(status, objective, gap=gap, simplex_iters=iters)
+    x = np.asarray(h.getSolution().col_value)
+    return sol, x, None if mip else h.getBasis()

@@ -1,17 +1,11 @@
-"""Integer problems by HiGHS MIP (``scipy.optimize.milp``)."""
+"""Integer problems by HiGHS's branch and bound, through ``run_highs``."""
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-from .linprog import (LinearProblem, Solution, SolverConfig, Status,
-                      _highs, _row_form, solve_lp)
-
-# how milp's message names HiGHS's "primal infeasible or unbounded"
-_UNDECIDED = f"HiGHS Status {int(_highs.HighsModelStatus.kUnboundedOrInfeasible)}:"
+from .linprog import (LinearProblem, Solution, SolverConfig, _row_form,
+                      run_highs, solve_lp)
 
 
 def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
@@ -22,34 +16,11 @@ def solve_mip(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     cfg = cfg or SolverConfig()
     if not p.any_integer():
         return solve_lp(p, cfg)
-
-    c, A, lo, hi, col_lo, col_hi = _row_form(p)
-    res = milp(c, constraints=LinearConstraint(A, lo, hi),
-               bounds=Bounds(col_lo, col_hi),
-               integrality=np.asarray(p.integer, dtype=int),
-               options={"node_limit": cfg.max_bb_nodes, "mip_rel_gap": 0.0})
-
-    def incumbent(status):
-        vals = {name: float(round(v)) if integer else float(v)
-                for name, v, integer in zip(p.var_names, res.x, p.integer)}
-        return Solution(status, float(res.fun) + p.objective_offset, vals,
-                        gap=float(res.fun) - float(res.mip_dual_bound))
-
-    if res.status == 0:
-        return incumbent(Status.OPTIMAL)
-    if res.status == 2:
-        return Solution(Status.INFEASIBLE, math.inf)
-    if res.status == 3:
-        return Solution(Status.UNBOUNDED, -math.inf)
-    if res.status == 4 and _UNDECIDED in res.message:
-        # a MIP whose relaxation has an optimum is bounded, so infeasible
-        if solve_lp(p).status is Status.UNBOUNDED:
-            return Solution(Status.UNBOUNDED, -math.inf)
-        return Solution(Status.INFEASIBLE, math.inf)
-    if res.status == 4 and (res.mip_node_count or 0) >= cfg.max_bb_nodes:
-        if res.x is None:
-            return Solution(Status.NODE_LIMIT, math.inf, gap=math.inf)
-        return incumbent(Status.NODE_LIMIT)
-    if res.status == 1:
-        return Solution(Status.ITER_LIMIT, math.inf)
-    raise RuntimeError(f"MIP backend failure: {res.message}")
+    sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
+                          max_bb_nodes=cfg.max_bb_nodes)
+    if x is None:
+        return sol
+    values = {name: float(round(v)) if integer else float(v)
+              for name, v, integer in zip(p.var_names, x, p.integer)}
+    return replace(sol, objective=sol.objective + p.objective_offset,
+                   values=values)

@@ -148,8 +148,8 @@ def save_scenarios(path, dest_ids, matrix):
 
 
 def cost_band(b_bar, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``b_j (1 - sigma)`` and ``b_j (1 + sigma)`` of the cost band,
-    for ``sigma`` in [0, 1)."""
+    """The bounds ``b_j (1 - sigma)`` and ``b_j (1 + sigma)`` of the cost
+    band, for ``sigma`` in [0, 1)."""
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
     b_bar = np.asarray(b_bar, dtype=float)

@@ -112,6 +112,16 @@ def random_lp(rng: np.random.Generator) -> sp.LinearProblem:
     return p
 
 
+def knapsack() -> sp.LinearProblem:
+    """max 5a + 4b + 3c s.t. 2a + 3b + c <= 5 over binaries: value 9
+    (a = b = 1)."""
+    p = sp.LinearProblem()
+    for name, v in (("a", -5.0), ("b", -4.0), ("c", -3.0)):
+        p.add_var(name, obj=v, ub=1.0, integer=True)
+    p.add_row({"a": 2.0, "b": 3.0, "c": 1.0}, "<=", 5.0)
+    return p
+
+
 def random_mip(rng: np.random.Generator) -> sp.LinearProblem:
     """Feasible pure-integer program, up to 4 variables with bounds <= 6."""
     n = int(rng.integers(1, 5))

@@ -228,17 +228,19 @@ def test_non_finite_supplier_minimum_is_config_error(tmp_path, capsys):
 
 
 def test_compare_matches_the_stored_report(tmp_path):
-    """m1-m4 and ws on a seeded 6x4x16 instance, byte for byte. m5 is left
-    out: its hull rule reads per-scenario blocks that the optimum does not
-    determine."""
+    """m1-m4 and ws, and integer m1, m2 and ws, on a seeded 6x4x16 instance,
+    byte for byte. m5 is left out: its hull rule reads per-scenario blocks
+    that the optimum does not determine."""
     assert main(["gen", "--suppliers", "6", "--destinations", "4",
                  "--scenarios", "16", "--seed", "12",
                  "--out", str(tmp_path)]) == 0
-    assert main(["compare", "--methods", "m1,m2,m3,m4", "--omega", "2.75"]
-                + _common(tmp_path, tmp_path)) == 0
-    golden = (Path(__file__).parent / "golden"
-              / "compare_6x4x16_seed12_m1-m4.csv")
-    assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
+    for flags, stored in (
+            (["--methods", "m1,m2,m3,m4", "--omega", "2.75"], "m1-m4"),
+            (["--integer", "--methods", "m1,m2"], "m1-m2_integer")):
+        assert main(["compare", *flags] + _common(tmp_path, tmp_path)) == 0
+        golden = (Path(__file__).parent / "golden"
+                  / f"compare_6x4x16_seed12_{stored}.csv")
+        assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
 
 
 def test_montecarlo_prices_m5_by_hull_rule(tmp_path):

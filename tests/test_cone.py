@@ -210,15 +210,6 @@ def test_add_cone_rejects_undeclared_names():
     assert p.cones == []
 
 
-def test_copy_carries_cone_rows(cfg):
-    p = _norm_problem([3.0, 4.0], omega=1.0)
-    dup = p.copy()
-    assert dup.cones == p.cones
-    dup.add_cone(ConeRow("w", {}, [{"x0": 1.0}], scale=3.0))
-    assert len(p.cones) == 1  # the copy's list is its own
-    assert sp.solve_cone(dup, cfg).objective == pytest.approx(9.0, rel=1e-5)
-
-
 def test_negative_scale_rejected():
     for scale in (-1.0, math.nan):
         with pytest.raises(ValueError):

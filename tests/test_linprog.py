@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 import supplyplan as sp
-from supplyplan import linprog
+from supplyplan import framework, linprog, mip
 from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
 
 import helpers
@@ -110,34 +110,49 @@ def test_row_form_keeps_row_order_and_relations():
     assert col_hi.tolist() == [10.0, math.inf]
 
 
-def test_solve_lp_solves_through_run_highs(cfg, monkeypatch):
-    calls, run = [], linprog.run_highs
-
-    def counting(*args):
-        calls.append(args)
-        return run(*args)
-
-    monkeypatch.setattr(linprog, "run_highs", counting)
+def _lp_case(cfg):
     p = _simple_problem()
     p.objective_offset = 100.0
     sol = sp.solve_lp(p, cfg)
-    assert len(calls) == 1 and len(calls[0]) == 6   # one cold solve
     assert sol.objective == pytest.approx(91.0, abs=1e-9)
     assert sol.values["y"] == pytest.approx(4.0, abs=1e-9)
+
+
+def _mip_case(cfg):
+    sol = sp.solve_mip(helpers.knapsack(), cfg)
+    assert sol.objective == pytest.approx(-9.0, abs=1e-6)
+
+
+def _integer_pricing_case(cfg):
+    inst = helpers.one_arc_instance()
+    costs = sp.price_draws(inst, {inst.arcs[0].key: 3.0}, [[30.0], [50.0]],
+                           [[8.0], [8.0]], False, cfg)
+    assert all(map(math.isfinite, costs))
+
+
+@pytest.mark.parametrize("module, case, solves", [
+    (linprog, _lp_case, 1), (mip, _mip_case, 1),
+    (framework, _integer_pricing_case, 2)],
+    ids=["solve_lp", "solve_mip", "price_draws_integer"])
+def test_solve_lp_solves_through_run_highs(module, case, solves, cfg,
+                                           monkeypatch):
+    """Each solve path calls ``run_highs`` where it resolves the name, once
+    per solve and cold: an integer draw carries no basis."""
+    calls, run = [], module.run_highs
+
+    def counting(*args, **kwargs):
+        calls.append(args[6] if len(args) > 6 else kwargs.get("basis"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(module, "run_highs", counting)
+    case(cfg)
+    assert calls == [None] * solves
 
 
 def test_problem_without_variables_is_a_backend_failure(cfg):
     """HiGHS reports an empty model as "Empty", which no Status stands for."""
     with pytest.raises(RuntimeError, match="Empty"):
         sp.solve_lp(sp.LinearProblem(), cfg)
-
-
-def test_copy_is_independent(cfg):
-    p = _simple_problem()
-    q = p.copy()
-    q.add_row({"x": 1.0}, "<=", 0.0)
-    assert len(p.rows) == 1 and len(q.rows) == 2
-    assert sp.solve_lp(p, cfg).objective == pytest.approx(-9.0, abs=1e-9)
 
 
 def test_matches_vertex_enumeration_on_random_lps(cfg):
@@ -190,10 +205,9 @@ def test_run_highs_warm_start_matches_a_cold_solve():
         A = scipy.sparse.vstack([A, rows_to_csr(p, [cut])], format="csr")
         warm, _, _ = run_highs(c, A, np.append(lo, rhs), np.append(hi, np.inf),
                                col_lo, col_hi, basis)
-        q = p.copy()
-        q.add_row(cut, ">=", rhs)
+        p.add_row(cut, ">=", rhs)
         assert warm.optimal
-        assert warm.objective == pytest.approx(sp.solve_lp(q).objective,
+        assert warm.objective == pytest.approx(sp.solve_lp(p).objective,
                                                abs=1e-7)
 
 
@@ -203,3 +217,5 @@ def test_run_highs_rejects_arrays_that_do_not_match_the_matrix():
         run_highs(c, A, lo[:-1], hi, col_lo, col_hi)
     with pytest.raises(ValueError, match="match A's shape"):
         run_highs(c[:-1], A, lo, hi, col_lo, col_hi)
+    with pytest.raises(ValueError, match="match A's shape"):
+        run_highs(c, A, lo, hi, col_lo, col_hi, integrality=[1])

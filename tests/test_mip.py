@@ -10,17 +10,8 @@ from supplyplan.linprog import Status
 import helpers
 
 
-def _knapsack():
-    # max 5a + 4b + 3c s.t. 2a + 3b + c <= 5, binaries -> value 9 (a=b=1)
-    p = sp.LinearProblem()
-    for name, v in (("a", -5.0), ("b", -4.0), ("c", -3.0)):
-        p.add_var(name, obj=v, ub=1.0, integer=True)
-    p.add_row({"a": 2.0, "b": 3.0, "c": 1.0}, "<=", 5.0)
-    return p
-
-
 def test_knapsack_known_answer(cfg):
-    sol = sp.solve_mip(_knapsack(), cfg)
+    sol = sp.solve_mip(helpers.knapsack(), cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(-9.0, abs=1e-6)
     assert sol.values["a"] == 1.0 and sol.values["b"] == 1.0
@@ -66,19 +57,19 @@ def test_infeasible_lp_relaxation(cfg):
     assert sp.solve_mip(p, cfg).status is Status.INFEASIBLE
 
 
-def _market_split():
-    """Two equality knapsacks over 12 binaries with slack and surplus at cost
-    1 (optimum 0); hard for LP-based search, so one node does not close it."""
-    a = np.random.default_rng(0).integers(0, 100, size=(2, 12))
+def _market_split(rows=2, cols=12, slack=True):
+    """Equality knapsacks over binaries (default: two over 12), with slack
+    and surplus at cost 1 unless ``slack`` is false (optimum 0); hard for
+    LP-based search, so one node does not close it."""
+    a = np.random.default_rng(0).integers(0, 100, size=(rows, cols))
     p = sp.LinearProblem()
-    for j in range(12):
+    for j in range(cols):
         p.add_var(f"x{j}", ub=1.0, integer=True)
-    for i in range(2):
-        p.add_var(f"s{i}", obj=1.0)
-        p.add_var(f"t{i}", obj=1.0)
-        coeffs = {f"x{j}": float(a[i, j]) for j in range(12)}
-        coeffs[f"s{i}"] = 1.0
-        coeffs[f"t{i}"] = -1.0
+    for i in range(rows):
+        coeffs = {f"x{j}": float(a[i, j]) for j in range(cols)}
+        if slack:
+            coeffs[p.add_var(f"s{i}", obj=1.0)] = 1.0
+            coeffs[p.add_var(f"t{i}", obj=1.0)] = -1.0
         p.add_row(coeffs, "==", float(a[i].sum() // 2))
     return p
 
@@ -88,18 +79,23 @@ def test_node_limit_reports_status():
     sol = sp.solve_mip(_market_split(), cfg)
     assert sol.status is Status.NODE_LIMIT
     assert sol.gap > 0 or math.isinf(sol.objective)
+    # without slacks the node finds no incumbent
+    sol = sp.solve_mip(_market_split(3, 30, slack=False), cfg)
+    assert sol.status is Status.NODE_LIMIT
+    assert sol.objective == math.inf and sol.gap == math.inf
 
 
 def test_market_split_solves_without_node_limit(cfg):
     sol = sp.solve_mip(_market_split(), cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(0.0, abs=1e-6)
+    assert sol.simplex_iters > 0
 
 
 def test_emits_no_warning(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sp.solve_mip(_knapsack(), cfg).optimal
+        assert sp.solve_mip(helpers.knapsack(), cfg).optimal
 
 
 def test_matches_lattice_enumeration_on_random_mips(cfg):
