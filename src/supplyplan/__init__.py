@@ -18,7 +18,6 @@ from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
                         price_draws, run_comparison, stress_worst_case)
 from .generate import gen_instance, gen_scenarios
 from .linprog import (LinearProblem, Solution, SolverConfig, Status, solve_lp)
-from .mip import solve_mip
 from .model import (Arc, Destination, Instance, Supplier, booking_cost,
                     recourse_cost, total_cost)
 from .projection import project_simplex_lsq
@@ -41,6 +40,6 @@ __all__ = [
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
     "omega_for_epsilon", "price_draws", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
-    "save_scenarios", "solve_cone", "solve_lp",
-    "solve_mip", "stress_worst_case", "total_cost",
+    "save_scenarios", "solve_cone", "solve_lp", "stress_worst_case",
+    "total_cost",
 ]

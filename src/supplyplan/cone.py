@@ -24,6 +24,7 @@ the previous round's basis, the new rows basic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,14 +42,14 @@ class ConeRow:
     scale: float = 0.0
 
     def __post_init__(self):
-        if not self.scale >= 0:
-            raise ValueError("cone scale must be >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("cone scale must be finite and >= 0")
 
 
 def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     """Solve ``p`` subject to its cone rows (continuous only)."""
     cfg = cfg or SolverConfig()
-    if p.any_integer():
+    if any(p.integer):
         raise ValueError("cone problems are solved in continuous variables only")
 
     cost, A, lo, hi, col_lo, col_hi = _row_form(p)

@@ -23,7 +23,6 @@ from .formulations import (FirstStage, PhiPositive, build_recourse,
                            build_ws, extract_first_stage,
                            recover_adjustable_m5)
 from .linprog import Solution, SolverConfig, _row_form, run_highs, solve_lp
-from .mip import solve_mip
 from .model import (Instance, _as_demand, booking_cost, recourse_cost,
                     y_name)
 from .projection import project_simplex_lsq
@@ -79,14 +78,9 @@ def _objective_or_inf(sol) -> float:
 
 
 def solve(p, cfg=None) -> Solution:
-    """Solve ``p`` by the engine it needs: the cone cut loop when ``p``
-    carries cone rows, HiGHS MIP when it carries integrality marks, else
-    HiGHS LP."""
-    if p.cones:
-        return solve_cone(p, cfg)
-    if p.any_integer():
-        return solve_mip(p, cfg)
-    return solve_lp(p, cfg)
+    """Solve ``p`` by the cone cut loop when it carries cone rows, else by
+    one HiGHS call, LP or MIP as its integrality marks say."""
+    return solve_cone(p, cfg) if p.cones else solve_lp(p, cfg)
 
 
 def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
@@ -218,6 +212,8 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
     """
     if not 1 <= sbar < scens.S:
         raise ValueError("need 1 <= sbar < S")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     methods = list(methods) if methods is not None else list(METHOD_COLUMNS)
     for m in methods:
         if m not in METHOD_COLUMNS:

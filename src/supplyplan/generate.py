@@ -26,8 +26,8 @@ def gen_instance(n_suppliers: int, n_destinations: int, seed: int,
                  q: float = 31.0, alpha: float = 0.7) -> Instance:
     """Synthetic supply network. Suppliers own 1-3 plants (names reused
     across suppliers, as in real data); each destination is reachable over
-    3-6 arcs. Supplier minima r_k are zero so every booking admits a feasible
-    recourse."""
+    3-6 arcs, fewer when fewer distinct supplier-plant pairs exist. Supplier
+    minima r_k are zero so every booking admits a feasible recourse."""
     if n_suppliers < 1 or n_destinations < 1:
         raise ValueError("need at least one supplier and one destination")
     stream = Stream(seed)

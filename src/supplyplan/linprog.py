@@ -2,12 +2,13 @@
 
 A problem reaches HiGHS in one form, ``lo <= A x <= hi`` with column bounds
 (``_row_form``), through one function, ``run_highs``, which calls scipy's
-bundled HiGHS binding, for an LP and, given integrality marks, for a MIP
-(``mip.solve_mip``). ``solve_lp`` is one cold ``run_highs`` call. The two
-loops that re-solve one LP many times call ``run_highs`` with the previous
-solve's basis: the cone cut loop, whose LP grows by each round's cuts, and
-the recourse pricer, which changes only a booking's demand bounds and
-purchase costs from one draw to the next.
+bundled HiGHS binding, for an LP and, given integrality marks, for a MIP.
+``solve_lp`` solves a problem without cone rows by one cold ``run_highs``
+call with the problem's marks, so it runs the LP or the MIP the problem
+is. The two loops that re-solve one LP many times call ``run_highs`` with
+the previous solve's basis: the cone cut loop, whose LP grows by each
+round's cuts, and the recourse pricer, which changes only a booking's
+demand bounds and purchase costs from one draw to the next.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class SolverConfig:
     max_cut_rounds: int = 200
 
     def __post_init__(self):
-        if not self.cone_tol > 0:
-            raise ValueError("cone_tol must be > 0")
+        if not 0 < self.cone_tol < math.inf:
+            raise ValueError("cone_tol must be finite and > 0")
         for name in ("max_bb_nodes", "max_cut_rounds"):
             try:
                 valid = operator.index(getattr(self, name)) >= 0
@@ -143,9 +144,6 @@ class LinearProblem:
     def num_vars(self) -> int:
         return len(self.var_names)
 
-    def any_integer(self) -> bool:
-        return any(self.integer)
-
 
 def _row_form(p: LinearProblem):
     """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``,
@@ -170,13 +168,20 @@ def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
 
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
-    """Solve the linear relaxation of ``p``: integrality marks and cone rows
-    are ignored, and so is ``cfg``, whose limits concern only those."""
-    lp, x, _ = run_highs(*_row_form(p))
-    if not lp.optimal:
-        return lp
-    return replace(lp, objective=lp.objective + p.objective_offset,
-                   values=dict(zip(p.var_names, x.tolist())))
+    """Solve ``p`` without its cone rows, with its integrality marks: an LP
+    by dual simplex, a MIP by HiGHS's branch and bound within
+    ``cfg.max_bb_nodes`` nodes, its values rounded onto the lattice. The
+    relative gap is off, so HiGHS's default absolute gap (1e-6) governs
+    termination."""
+    cfg = cfg or SolverConfig()
+    sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
+                          max_bb_nodes=cfg.max_bb_nodes)
+    if x is None:
+        return sol
+    values = {name: float(round(v)) if integer else float(v)
+              for name, v, integer in zip(p.var_names, x, p.integer)}
+    return replace(sol, objective=sol.objective + p.objective_offset,
+                   values=values)
 
 
 # the HiGHS model statuses a solve reports; any other is a backend failure.

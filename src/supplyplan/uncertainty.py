@@ -67,7 +67,7 @@ class ScenarioSet:
 
     def with_costs(self, costs: np.ndarray) -> "ScenarioSet":
         return ScenarioSet(self.demands.copy(), np.asarray(costs, float),
-                           dest_ids=self.dest_ids)
+                           probs=self.probs.copy(), dest_ids=self.dest_ids)
 
 
 @dataclass

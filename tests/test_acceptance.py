@@ -111,7 +111,7 @@ def test_criterion_3_solver_oracles(criterion, cfg):
         rng = np.random.default_rng(1234)
         for _ in range(200):
             p = helpers.random_mip(rng)
-            sol = sp.solve_mip(p, cfg)
+            sol = sp.solve_lp(p, cfg)
             assert sol.optimal
             assert sol.objective == pytest.approx(helpers.enumerate_mip(p),
                                                   abs=1e-6)

@@ -84,6 +84,15 @@ def test_solve_cone_requires_radius(data_dir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--model", "ro-ell"], ["compare", "--methods", "m1,m3"]],
+    ids=["solve", "compare"])
+def test_infinite_omega_is_config_error(data_dir, tmp_path, capsys, command):
+    rc = main(command + ["--omega", "inf"] + _common(data_dir, tmp_path))
+    assert rc == 1
+    assert "error: cone scale must be finite" in capsys.readouterr().err
+
+
 def test_omega_epsilon_mutually_exclusive(data_dir, tmp_path, capsys):
     rc = main(["solve", "--model", "ro-ell", "--omega", "1", "--epsilon",
                "0.1"] + _common(data_dir, tmp_path))
@@ -144,6 +153,14 @@ def test_compare_unknown_method(data_dir, tmp_path):
 def test_compare_bad_sbar(data_dir, tmp_path):
     rc = main(["compare", "--sbar", "0"] + _common(data_dir, tmp_path))
     assert rc == 1
+
+
+def test_compare_jobs_below_one(data_dir, tmp_path, capsys):
+    for jobs in ("0", "-3"):
+        rc = main(["compare", "--methods", "m1", "--jobs", jobs]
+                  + _common(data_dir, tmp_path))
+        assert rc == 1
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_compare_deterministic(data_dir, tmp_path):

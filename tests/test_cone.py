@@ -211,7 +211,7 @@ def test_add_cone_rejects_undeclared_names():
 
 
 def test_negative_scale_rejected():
-    for scale in (-1.0, math.nan):
+    for scale in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ConeRow("w", {}, [{"x": 1.0}], scale=scale)
 

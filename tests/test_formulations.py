@@ -9,14 +9,10 @@ from supplyplan.formulations import PHI_ZERO_TOL
 import helpers
 
 
-def _solve(p, cfg, relax=True):
-    return sp.solve_lp(p, cfg) if relax else sp.solve_mip(p, cfg)
-
-
 # -- one-arc network against the grid oracle --------------------------------
 
 def test_sp_matches_grid_oracle(one_arc, one_arc_scens, cfg):
-    sol = _solve(sp.build_sp(one_arc, one_arc_scens), cfg)
+    sol = sp.solve_lp(sp.build_sp(one_arc, one_arc_scens), cfg)
     oracle = helpers.one_arc_sp_oracle(one_arc, [30.0, 50.0], [0.5, 0.5])
     assert sol.objective == pytest.approx(oracle, abs=1e-7)
     assert sol.objective == pytest.approx(90.0, abs=1e-7)
@@ -24,7 +20,7 @@ def test_sp_matches_grid_oracle(one_arc, one_arc_scens, cfg):
 
 def test_ws_matches_grid_oracle(one_arc, one_arc_scens, cfg):
     for d, expected in ((30.0, 60.0), (50.0, 100.0)):
-        sol = _solve(sp.build_ws(one_arc, [d], [8.0]), cfg)
+        sol = sp.solve_lp(sp.build_ws(one_arc, [d], [8.0]), cfg)
         oracle = min(helpers.one_arc_recourse_oracle(one_arc, x, d)
                      for x in range(11))
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
@@ -43,16 +39,16 @@ def test_recourse_matches_grid_oracle(one_arc, cfg):
 
 def test_ro_box_matches_grid_oracle(one_arc, one_arc_scens, cfg):
     box = sp.estimate_box(one_arc_scens)
-    sol = _solve(sp.build_ro_box(one_arc, box), cfg)
+    sol = sp.solve_lp(sp.build_ro_box(one_arc, box), cfg)
     assert sol.objective == pytest.approx(
         helpers.one_arc_robox_oracle(one_arc, 50.0), abs=1e-7)
     assert sol.objective == pytest.approx(100.0, abs=1e-7)
 
 
 def test_evpi_on_one_arc(one_arc, one_arc_scens, cfg):
-    sp_val = _solve(sp.build_sp(one_arc, one_arc_scens), cfg).objective
-    ws = [_solve(sp.build_ws(one_arc, one_arc_scens.demands[s],
-                             one_arc_scens.costs[s]), cfg).objective
+    sp_val = sp.solve_lp(sp.build_sp(one_arc, one_arc_scens), cfg).objective
+    ws = [sp.solve_lp(sp.build_ws(one_arc, one_arc_scens.demands[s],
+                                  one_arc_scens.costs[s]), cfg).objective
           for s in range(2)]
     assert sp.compute_evpi(sp_val, ws) == pytest.approx(10.0, abs=1e-7)
 
@@ -61,9 +57,9 @@ def test_evpi_on_one_arc(one_arc, one_arc_scens, cfg):
 
 def test_sp_single_scenario_equals_ws(tight, tight_scens, cfg):
     single = tight_scens.head(1)
-    a = _solve(sp.build_sp(tight, single), cfg).objective
-    b = _solve(sp.build_ws(tight, single.demands[0], single.costs[0]),
-               cfg).objective
+    a = sp.solve_lp(sp.build_sp(tight, single), cfg).objective
+    b = sp.solve_lp(sp.build_ws(tight, single.demands[0], single.costs[0]),
+                    cfg).objective
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -71,8 +67,9 @@ def test_ro_box_zero_deviation_equals_ws_at_nominal(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens)
     box.d_dev = np.zeros_like(box.d_dev)
     box.b_dev = np.zeros_like(box.b_dev)
-    a = _solve(sp.build_ro_box(tight, box), cfg).objective
-    b = _solve(sp.build_ws(tight, box.d_nominal, box.b_nominal), cfg).objective
+    a = sp.solve_lp(sp.build_ro_box(tight, box), cfg).objective
+    b = sp.solve_lp(sp.build_ws(tight, box.d_nominal, box.b_nominal),
+                    cfg).objective
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -115,7 +112,7 @@ def test_trsocp_empty_scenarios_rejected(tight):
 def test_integer_sp_books_whole_vehicles(one_arc, cfg):
     scens = sp.ScenarioSet(np.array([[33.0], [47.0]]),
                            np.array([[8.0], [8.0]]))
-    sol = sp.solve_mip(sp.build_sp(one_arc, scens, relax=False), cfg)
+    sol = sp.solve_lp(sp.build_sp(one_arc, scens, relax=False), cfg)
     fs = sp.extract_first_stage(one_arc, sol)
     x = fs.x[one_arc.arcs[0].key]
     assert x == pytest.approx(round(x), abs=1e-6)

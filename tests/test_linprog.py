@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 import supplyplan as sp
-from supplyplan import framework, linprog, mip
+from supplyplan import framework, linprog
 from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
 
 import helpers
@@ -119,7 +119,7 @@ def _lp_case(cfg):
 
 
 def _mip_case(cfg):
-    sol = sp.solve_mip(helpers.knapsack(), cfg)
+    sol = sp.solve_lp(helpers.knapsack(), cfg)
     assert sol.objective == pytest.approx(-9.0, abs=1e-6)
 
 
@@ -131,9 +131,9 @@ def _integer_pricing_case(cfg):
 
 
 @pytest.mark.parametrize("module, case, solves", [
-    (linprog, _lp_case, 1), (mip, _mip_case, 1),
+    (linprog, _lp_case, 1), (linprog, _mip_case, 1),
     (framework, _integer_pricing_case, 2)],
-    ids=["solve_lp", "solve_mip", "price_draws_integer"])
+    ids=["solve_lp", "solve_lp_mip", "price_draws_integer"])
 def test_solve_lp_solves_through_run_highs(module, case, solves, cfg,
                                            monkeypatch):
     """Each solve path calls ``run_highs`` where it resolves the name, once
@@ -147,6 +147,11 @@ def test_solve_lp_solves_through_run_highs(module, case, solves, cfg,
     monkeypatch.setattr(module, "run_highs", counting)
     case(cfg)
     assert calls == [None] * solves
+
+
+def test_every_export_resolves():
+    missing = [name for name in sp.__all__ if not hasattr(sp, name)]
+    assert missing == []
 
 
 def test_problem_without_variables_is_a_backend_failure(cfg):
@@ -171,6 +176,8 @@ def test_solver_config_validation():
         sp.SolverConfig(cone_tol=-1e-9)
     with pytest.raises(ValueError):
         sp.SolverConfig(cone_tol=math.nan)
+    with pytest.raises(ValueError):
+        sp.SolverConfig(cone_tol=math.inf)
     for bad in (-5, math.nan, 2.5):
         with pytest.raises(ValueError, match="integer >= 0"):
             sp.SolverConfig(max_cut_rounds=bad)

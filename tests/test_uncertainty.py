@@ -50,6 +50,13 @@ def test_head_is_equiprobable_prefix():
         s.head(5)
 
 
+def test_with_costs_keeps_the_probabilities():
+    s = sp.ScenarioSet([[1.0], [2.0]], probs=[0.3, 0.7])
+    priced = s.with_costs([[5.0], [6.0]])
+    assert priced.probs.tolist() == [0.3, 0.7]
+    assert priced.costs.tolist() == [[5.0], [6.0]]
+
+
 def test_csv_round_trip(tmp_path):
     demands = np.array([[30.5, 20.25], [50.125, 10.0]])
     costs = np.array([[8.0, 9.5], [7.75, 9.0]])
