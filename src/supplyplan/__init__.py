@@ -19,7 +19,7 @@ from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
 from .generate import gen_instance, gen_scenarios
 from .linprog import (LinearProblem, Solution, SolverConfig, Status, solve_lp)
 from .model import (Arc, Destination, Instance, Supplier, booking_cost,
-                    recourse_cost, total_cost)
+                    recourse_cost)
 from .projection import project_simplex_lsq
 from .rng import Stream
 from .uncertainty import (BoxParams, ScenarioSet, demand_gamma, estimate_box,
@@ -41,5 +41,4 @@ __all__ = [
     "omega_for_epsilon", "price_draws", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
     "save_scenarios", "solve_cone", "solve_lp", "stress_worst_case",
-    "total_cost",
 ]

@@ -2,7 +2,8 @@
 
 Methods:
   M1  stochastic program with recourse (scenario-weighted expectation)
-  M2  static robust counterpart, box uncertainty on demand and cost
+  M2  static robust counterpart, box uncertainty on demand and cost, solved
+      as the deterministic problem at the box's worst corner
   M3  static robust counterpart, demand box plus cost ellipsoid (one cone row)
   M4  tractable adjustable counterpart over the scenario hull (cone row per
       scenario)
@@ -42,22 +43,18 @@ def extract_first_stage(inst: Instance, sol: Solution) -> FirstStage:
     return FirstStage(x=x)
 
 
-def _objective_coeffs(p: LinearProblem, inst: Instance, b, weight: float = 1.0,
-                      tag=None):
-    """Add the recourse part of f (buying plus cancellation refund on z) for
-    one scenario block, scaled by ``weight``; ``b`` is a vector or a
-    destination -> cost map."""
+def _cost(inst: Instance, b, tag=None, weight: float = 1.0) -> dict[str, float]:
+    """Coefficients of ``weight * f(x, y, z; b)`` for the recourse block
+    ``tag``: booking net of the full refund, the refund given back on used
+    vehicles, and purchases at cost ``b`` (a vector or destination map)."""
     b = _as_demand(inst, b)
+    coeffs = {}
     for a in inst.arcs:
-        p.add_obj(z_name(a, tag), weight * inst.alpha * inst.q * a.t)
+        coeffs[x_name(a)] = weight * inst.q * a.t * (1.0 - inst.alpha)
+        coeffs[z_name(a, tag)] = weight * inst.alpha * inst.q * a.t
     for dest in inst.destinations:
-        p.add_obj(y_name(dest.id, tag), weight * inst.q * b[dest.id])
-
-
-def _first_stage_obj(p: LinearProblem, inst: Instance, prob_total: float = 1.0):
-    # f1 minus the refund on the full booking: q t - alpha q t per vehicle
-    for a in inst.arcs:
-        p.add_obj(x_name(a), inst.q * a.t * (1.0 - inst.alpha * prob_total))
+        coeffs[y_name(dest.id, tag)] = weight * inst.q * b[dest.id]
+    return coeffs
 
 
 def build_sp(inst: Instance, scens: ScenarioSet, relax: bool = True) -> LinearProblem:
@@ -69,9 +66,9 @@ def build_sp(inst: Instance, scens: ScenarioSet, relax: bool = True) -> LinearPr
     first_stage_rows(p, inst, relax)
     for s in range(scens.S):
         second_stage_rows(p, inst, scens.demands[s], relax, tag=s)
-        _objective_coeffs(p, inst, scens.costs[s], weight=float(scens.probs[s]),
-                          tag=s)
-    _first_stage_obj(p, inst, prob_total=float(scens.probs.sum()))
+        for name, c in _cost(inst, scens.costs[s], s,
+                             float(scens.probs[s])).items():
+            p.add_obj(name, c)
     return p
 
 
@@ -80,22 +77,9 @@ def build_ws(inst: Instance, d, b, relax: bool = True) -> LinearProblem:
     p = LinearProblem()
     first_stage_rows(p, inst, relax)
     second_stage_rows(p, inst, d, relax)
-    _first_stage_obj(p, inst)
-    _objective_coeffs(p, inst, b)
+    for name, c in _cost(inst, b).items():
+        p.add_obj(name, c)
     return p
-
-
-def _nominal_cost(inst: Instance, b, tag=None) -> dict[str, float]:
-    """Coefficients of f(x, y, z; b) for the recourse block ``tag``: booking
-    net of the full refund, the refund given back on used vehicles, and
-    purchases at cost ``b``."""
-    coeffs = {}
-    for a in inst.arcs:
-        coeffs[x_name(a)] = inst.q * a.t * (1.0 - inst.alpha)
-        coeffs[z_name(a, tag)] = inst.alpha * inst.q * a.t
-    for dest, bj in zip(inst.destinations, np.asarray(b, float)):
-        coeffs[y_name(dest.id, tag)] = inst.q * float(bj)
-    return coeffs
 
 
 def _cost_cone(inst: Instance, box: BoxParams, omega: float,
@@ -104,25 +88,15 @@ def _cost_cone(inst: Instance, box: BoxParams, omega: float,
     recourse block ``tag``."""
     terms = [{y_name(dest.id, tag): inst.q * float(dev)}
              for dest, dev in zip(inst.destinations, box.b_dev)]
-    return ConeRow("w", _nominal_cost(inst, box.b_nominal, tag), terms,
+    return ConeRow("w", _cost(inst, box.b_nominal, tag), terms,
                    scale=float(omega))
 
 
 def build_ro_box(inst: Instance, box: BoxParams, relax: bool = True) -> LinearProblem:
-    """Static robust counterpart: minimize the worst cost w subject to
-    w - f(x,y,z; b_nominal) >= sum_j q * b_dev_j * y_j, with demand at the
-    upper box corner."""
-    p = LinearProblem()
-    p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(p, inst, relax)
-    second_stage_rows(p, inst, box.d_corner, relax)
-    coeffs = {"w": 1.0}
-    for name, c in _nominal_cost(inst, box.b_nominal).items():
-        coeffs[name] = -c
-    for dest, dev in zip(inst.destinations, box.b_dev):
-        coeffs[y_name(dest.id)] -= inst.q * float(dev)
-    p.add_row(coeffs, ">=", 0.0)
-    return p
+    """Static robust counterpart, solved as the deterministic problem at the
+    box's worst corner (d_nominal + d_dev, b_nominal + b_dev): f rises in
+    demand and in cost at every feasible point."""
+    return build_ws(inst, box.d_corner, box.b_nominal + box.b_dev, relax)
 
 
 def build_ro_ell(inst: Instance, box: BoxParams, omega: float) -> LinearProblem:
@@ -164,7 +138,9 @@ def build_recourse(inst: Instance, x_star, d, b,
     x_star = dict(x_star)
     p = LinearProblem()
     second_stage_rows(p, inst, d, relax, booking=x_star)
-    _objective_coeffs(p, inst, b)
+    cost = _cost(inst, b)
+    for name in p.var_names:
+        p.add_obj(name, cost[name])
     p.objective_offset = (1.0 - inst.alpha) * booking_cost(inst, x_star)
     return p
 

@@ -112,6 +112,8 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     relaxed LP from the last optimal draw's basis, an integer one (``relax``
     false) as a MIP within ``cfg``'s node limit. Only the optimal value
     leaves, and that is the same from any optimal vertex."""
+    if len(ds) != len(bs):
+        raise ValueError(f"{len(ds)} demands but {len(bs)} costs")
     if isinstance(booking, FirstStage) and booking.hull is not None:
         yield from (_price_m5(inst, booking, d, b) for d, b in zip(ds, bs))
         return
@@ -250,6 +252,10 @@ def compute_evpi(sp_value: float, ws_values, probs=None) -> float:
         probs = np.full(ws_values.size, 1.0 / ws_values.size)
     else:
         probs = np.asarray(probs, dtype=float)
+        if probs.shape != ws_values.shape:
+            raise ValueError("need one probability per wait-and-see value")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ValueError("probabilities must be finite and >= 0")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
     return float(sp_value - probs @ ws_values)

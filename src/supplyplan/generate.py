@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import Arc, Destination, Instance, Supplier
 from .rng import Stream
-from .uncertainty import ScenarioSet
+from .uncertainty import ScenarioSet, cost_band
 
 
 def gen_instance(n_suppliers: int, n_destinations: int, seed: int,
@@ -82,10 +82,9 @@ def gen_scenarios(inst: Instance, n_scenarios: int, seed: int,
         raise ValueError("need at least one scenario")
     stream = Stream(seed)
     d_nominal = np.array([d.g / 1.6 for d in inst.destinations])
-    b_bar = inst.b_bar_vector()
     demands = stream.uniform_matrix(d_nominal * (1 - spread),
                                     d_nominal * (1 + spread), n_scenarios)
-    costs = stream.uniform_matrix(b_bar * (1 - sigma), b_bar * (1 + sigma),
+    costs = stream.uniform_matrix(*cost_band(inst.b_bar_vector(), sigma),
                                   n_scenarios)
     return ScenarioSet(np.maximum(demands, 0.0), costs,
                        dest_ids=inst.dest_ids)

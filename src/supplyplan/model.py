@@ -80,8 +80,8 @@ class Instance:
         if len(dest) != len(self.destinations):
             raise ValueError("duplicate destination id")
         for s in self.suppliers:
-            if s.r > s.v:
-                raise ValueError(f"supplier {s.id}: r > v")
+            if not 0 <= s.r <= s.v:
+                raise ValueError(f"supplier {s.id}: need 0 <= r <= v")
             if len(set(s.plants)) != len(s.plants):
                 raise ValueError(f"supplier {s.id}: duplicate plant")
         for d in self.destinations:
@@ -238,10 +238,6 @@ def recourse_cost(inst: Instance, x: Mapping[ArcKey, float],
     refund = inst.alpha * inst.q * sum(  # in arc order, not hash order
         a.t * (x.get(a.key, 0.0) - z.get(a.key, 0.0)) for a in inst.arcs)
     return buy - refund
-
-
-def total_cost(inst: Instance, x, y, z, b) -> float:
-    return booking_cost(inst, x) + recourse_cost(inst, x, y, z, b)
 
 
 # -- constraint rows -------------------------------------------------------

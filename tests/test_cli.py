@@ -244,6 +244,17 @@ def test_non_finite_supplier_minimum_is_config_error(tmp_path, capsys):
     assert "r must be finite" in capsys.readouterr().err
 
 
+def test_negative_supplier_bounds_are_config_error(tmp_path, capsys):
+    assert main(["gen", "--suppliers", "4", "--destinations", "2",
+                 "--scenarios", "6", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.json"
+    doc = json.loads(path.read_text())
+    doc["suppliers"][0].update(r=-10.0, v=-5.0)
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--model", "sp"] + _common(tmp_path, tmp_path)) == 1
+    assert "need 0 <= r <= v" in capsys.readouterr().err
+
+
 def test_compare_matches_the_stored_report(tmp_path):
     """m1-m4 and ws, and integer m1, m2 and ws, on a seeded 6x4x16 instance,
     byte for byte. m5 is left out: its hull rule reads per-scenario blocks

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,16 @@ import helpers
 
 # -- one-arc network against the grid oracle --------------------------------
 
-def test_sp_matches_grid_oracle(one_arc, one_arc_scens, cfg):
-    sol = sp.solve_lp(sp.build_sp(one_arc, one_arc_scens), cfg)
-    oracle = helpers.one_arc_sp_oracle(one_arc, [30.0, 50.0], [0.5, 0.5])
+@pytest.mark.parametrize("probs, expected", [
+    ([0.5, 0.5], 90.0), ([0.3, 0.7], 94.0), ([0.8, 0.2], 84.0)],
+    ids=["0.5-0.5", "0.3-0.7", "0.8-0.2"])
+def test_sp_matches_grid_oracle(one_arc, one_arc_scens, cfg, probs, expected):
+    scens = sp.ScenarioSet(one_arc_scens.demands, one_arc_scens.costs,
+                           np.array(probs), one_arc_scens.dest_ids)
+    sol = sp.solve_lp(sp.build_sp(one_arc, scens), cfg)
+    oracle = helpers.one_arc_sp_oracle(one_arc, [30.0, 50.0], probs)
     assert sol.objective == pytest.approx(oracle, abs=1e-7)
-    assert sol.objective == pytest.approx(90.0, abs=1e-7)
+    assert sol.objective == pytest.approx(expected, abs=1e-7)
 
 
 def test_ws_matches_grid_oracle(one_arc, one_arc_scens, cfg):
@@ -43,6 +49,20 @@ def test_ro_box_matches_grid_oracle(one_arc, one_arc_scens, cfg):
     assert sol.objective == pytest.approx(
         helpers.one_arc_robox_oracle(one_arc, 50.0), abs=1e-7)
     assert sol.objective == pytest.approx(100.0, abs=1e-7)
+    # costs 6 and 10: the worst corner buys at 10. With the booking capped
+    # at 3 vehicles, 2 of the 5 the corner demand needs are bought at 10.
+    scens = sp.ScenarioSet(one_arc_scens.demands, np.array([[6.0], [10.0]]),
+                           dest_ids=one_arc_scens.dest_ids)
+    box = sp.estimate_box(scens)
+    capped = dataclasses.replace(one_arc, destinations=(
+        dataclasses.replace(one_arc.destinations[0], g=30.0),))
+    for inst, bookings, expected in ((one_arc, range(11), 100.0),
+                                     (capped, range(4), 260.0)):
+        sol = sp.solve_lp(sp.build_ro_box(inst, box), cfg)
+        oracle = min(helpers.one_arc_recourse_oracle(inst, x, 50.0, b=10.0)
+                     for x in bookings)
+        assert sol.objective == pytest.approx(oracle, abs=1e-7)
+        assert sol.objective == pytest.approx(expected, abs=1e-7)
 
 
 def test_evpi_on_one_arc(one_arc, one_arc_scens, cfg):

@@ -108,6 +108,13 @@ def test_compute_evpi():
         pytest.approx(6.0)
     with pytest.raises(ValueError):
         sp.compute_evpi(10.0, [4.0], probs=[0.7])
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sp.compute_evpi(10.0, [1.0, 2.0], probs=[1.5, -0.5])
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sp.compute_evpi(10.0, [1.0, 2.0], probs=[np.nan, 1.0])
+    for probs in ([1.0], [0.5, 0.25, 0.25]):
+        with pytest.raises(ValueError, match="one probability per"):
+            sp.compute_evpi(10.0, [1.0, 2.0], probs=probs)
 
 
 def test_evpi_nonnegative_on_solved_instance(tight, tight_scens, cfg):
@@ -356,6 +363,17 @@ def test_monte_carlo_stops_pricing_at_the_first_inf(monkeypatch):
     assert math.isfinite(out["m1"]) and math.isinf(out["m2"])
     # 10 draws for each m1 booking, one for the short m2 booking
     assert len(solves) == 21
+
+
+def test_price_draws_rejects_unequal_draw_counts(monkeypatch):
+    inst = _minimum_and_stock()
+    monkeypatch.setattr(framework, "run_highs", None)  # no solve may start
+    m5 = sp.FirstStage(BOOKING, hull=(np.zeros((1, 2)), None))
+    ds = [[60.0, 40.0]] * 4
+    for booking in (BOOKING, m5):
+        for relax in (True, False):
+            with pytest.raises(ValueError, match="4 demands but 1 costs"):
+                list(sp.price_draws(inst, booking, ds, [[8.0, 9.0]], relax))
 
 
 def test_price_draws_keeps_m5_and_integer_pricing(tight, tight_scens,

@@ -9,8 +9,7 @@ import pytest
 
 import supplyplan as sp
 from supplyplan.model import (booking_cost, first_stage_rows, recourse_cost,
-                              second_stage_rows, total_cost, x_name, y_name,
-                              z_name)
+                              second_stage_rows, x_name, y_name, z_name)
 
 import helpers
 
@@ -25,10 +24,16 @@ def test_instance_validation():
         sp.Instance(q=10.0, alpha=1.5, suppliers=(s,), destinations=(d,), arcs=(a,))
     with pytest.raises(ValueError):
         sp.Instance(q=10.0, alpha=0.5, suppliers=(s, s), destinations=(d,), arcs=(a,))
-    with pytest.raises(ValueError):
-        sp.Instance(q=10.0, alpha=0.5,
-                    suppliers=(sp.Supplier("s1", 20.0, 10.0, ("p1",)),),
-                    destinations=(d,), arcs=(a,))
+    for r, v in ((20.0, 10.0), (-10.0, -5.0), (-1.0, 10.0), (0.0, -5.0)):
+        with pytest.raises(ValueError, match="need 0 <= r <= v"):
+            sp.Instance(q=10.0, alpha=0.5,
+                        suppliers=(sp.Supplier("s1", r, v, ("p1",)),),
+                        destinations=(d,), arcs=(a,))
+    for g, l0 in ((-1.0, 0.0), (100.0, -1.0)):
+        with pytest.raises(ValueError, match="negative g or l0"):
+            sp.Instance(q=10.0, alpha=0.5, suppliers=(s,),
+                        destinations=(sp.Destination("d1", 8.0, g, l0),),
+                        arcs=(a,))
     with pytest.raises(ValueError):
         sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d,),
                     arcs=(sp.Arc("s1", "p9", "d1", 2.0),))
@@ -95,8 +100,6 @@ def test_cost_arithmetic(one_arc):
     # use 3, buy 2 vehicles worth: 10*8*2 - 0.5*10*2*(5-3) = 160 - 20
     assert recourse_cost(one_arc, x, {"d1": 2.0}, {key: 3.0}, [8.0]) == \
         pytest.approx(140.0)
-    assert total_cost(one_arc, x, {"d1": 2.0}, {key: 3.0}, [8.0]) == \
-        pytest.approx(240.0)
 
 
 def test_cost_validation(one_arc):

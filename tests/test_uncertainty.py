@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import supplyplan as sp
-from supplyplan.uncertainty import (demand_gamma, estimate_box, load_scenarios,
-                                    omega_for_epsilon, sample_costs,
-                                    save_scenarios)
+from supplyplan.uncertainty import (cost_band, demand_gamma, estimate_box,
+                                    load_scenarios, omega_for_epsilon,
+                                    sample_costs, save_scenarios)
 
 
 def test_scenario_set_validation():
@@ -151,6 +151,16 @@ def test_sample_costs_band_and_determinism():
     assert np.all(a >= b_bar * 0.8) and np.all(a < b_bar * 1.2)
     with pytest.raises(ValueError):
         sample_costs(b_bar, 1.0, 1, seed=0)
+
+
+def test_gen_scenarios_builds_the_cost_band():
+    inst = sp.gen_instance(3, 2, seed=0)
+    costs = sp.gen_scenarios(inst, 50, seed=1, sigma=0.3).costs
+    lo, hi = cost_band(inst.b_bar_vector(), 0.3)
+    assert np.all(costs >= lo) and np.all(costs < hi)
+    for sigma in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\)"):
+            sp.gen_scenarios(inst, 3, seed=1, sigma=sigma)
 
 
 def test_demand_gamma_relative_to_mean():
