@@ -3,10 +3,10 @@
 A cone row encodes ``epi - affine >= scale * ||(terms)||_2`` (membership of
 ``(epi - affine)/scale`` and the term vector in the Lorentz cone). The solver
 works on two sparse matrices over the problem's variables: ``E``, one row
-``epi - affine`` per cone, and ``T``, the terms of every live cone stacked,
-each term knowing its cone and that cone's scale. A live cone (scale > 0,
-at least one term) is lifted onto a slack ``0 <= s <= E_i x`` (one linear
-row); a degenerate one is the plain row ``E_i x >= 0``.
+``epi - affine`` per cone, and ``T``, the terms of every cone stacked, each
+term knowing its cone and that cone's scale. Every cone is lifted onto a
+slack ``0 <= s <= E_i x`` (one linear row). A cone with scale 0 or no terms
+is then never violated, as ``E_i x >= s >= 0``, so it is never cut.
 
 A cut is a weight vector ``w`` over a cone's terms, written as the row
 ``s - scale * w . terms >= 0`` on the slack and the terms only, never on the
@@ -54,17 +54,14 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
 
     cost, A, lo, hi, col_lo, col_hi = _row_form(p)
     n = p.num_vars
-    is_live = np.array([c.scale > 0.0 and bool(c.cone_terms)
-                        for c in p.cones], dtype=bool)
-    live = [c for c, on in zip(p.cones, is_live) if on]
-    k = len(live)
+    k = len(p.cones)
     E = (rows_to_csr(p, [{c.epigraph_var: 1.0} for c in p.cones])
          - rows_to_csr(p, [c.affine_part for c in p.cones]))
-    T = rows_to_csr(p, [term for c in live for term in c.cone_terms])
-    sizes = np.array([len(c.cone_terms) for c in live], dtype=int)
+    T = rows_to_csr(p, [term for c in p.cones for term in c.cone_terms])
+    sizes = np.array([len(c.cone_terms) for c in p.cones], dtype=int)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     owner = np.repeat(np.arange(k), sizes)     # term -> its cone
-    scale = np.array([c.scale for c in live])
+    scale = np.array([c.scale for c in p.cones])
     term_scale = sp.diags(scale[owner])
 
     def cut_rows(W, cone):
@@ -77,17 +74,15 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     # axis cuts +/-e_l, then the uniform direction, which tightens the start
     # when many terms are active at once
     axis = sp.identity(len(owner), format="csr")
-    uniform = sp.csr_matrix((np.repeat(1.0 / np.sqrt(sizes), sizes),
+    uniform = sp.csr_matrix((1.0 / np.sqrt(sizes[owner]),
                              np.arange(len(owner)), bounds),
                             shape=(k, len(owner)))
     first = cut_rows(sp.vstack([axis, -axis, uniform]),
                      np.concatenate([owner, owner, np.arange(k)]))
-    link = sp.csr_matrix((np.full(k, -1.0), (np.flatnonzero(is_live),
-                                             np.arange(k))),
-                         shape=(len(p.cones), k))
+    link = -sp.identity(k, format="csr")   # E x - s >= 0
     A = sp.vstack([sp.hstack([A, sp.csr_matrix((A.shape[0], k))]),
                    sp.hstack([E, link]), first], format="csr")
-    added = len(p.cones) + first.shape[0]
+    added = k + first.shape[0]
     lo = np.concatenate([lo, np.zeros(added)])
     hi = np.concatenate([hi, np.full(added, np.inf)])
     cost = np.concatenate([cost, np.zeros(k)])
@@ -100,7 +95,7 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
         x = x[:n]  # drops the slacks
         t = T @ x
         nrm = np.sqrt(np.bincount(owner, t * t, minlength=k))
-        rel = (scale * nrm - (E @ x)[is_live]) / np.maximum(1.0, nrm)
+        rel = (scale * nrm - E @ x) / np.maximum(1.0, nrm)
         # the origin is covered by the axis cuts
         violated = (rel > cfg.cone_tol) & (nrm > 0.0)
         cut = np.flatnonzero(violated)

@@ -1,12 +1,15 @@
 """Problem builders for the five planning methods, wait-and-see and recourse.
 
-Methods:
-  M1  stochastic program with recourse (scenario-weighted expectation)
-  M2  static robust counterpart, box uncertainty on demand and cost, solved
-      as the deterministic problem at the box's worst corner
-  M3  static robust counterpart, demand box plus cost ellipsoid (one cone row)
-  M4  tractable adjustable counterpart over the scenario hull (cone row per
-      scenario)
+Each method is one of two programs over a list of scenarios, the expected
+cost (``_expected_cost``) or the worst cost under the cost cone
+(``_worst_cost``):
+  M1  expected cost over the scenarios (stochastic program with recourse)
+  M2  expected cost at the box's worst corner of demand and cost, which is
+      WS there (static robust counterpart, box uncertainty)
+  M3  worst cost over the one demand at the box corner (static robust
+      counterpart, demand box plus cost ellipsoid)
+  M4  worst cost over the scenario demands (tractable adjustable
+      counterpart over the scenario hull)
   M5  M4 plus hull projection of the realized demand to recover adjustables
 """
 
@@ -57,39 +60,49 @@ def _cost(inst: Instance, b, tag=None, weight: float = 1.0) -> dict[str, float]:
     return coeffs
 
 
+def _expected_cost(inst: Instance, demands, costs, probs, relax: bool,
+                   tags) -> LinearProblem:
+    """Expected cost: the first stage plus one recourse block ``tags[s]``
+    per scenario, each adding ``probs[s] * f(x, y^s, z^s; costs[s])`` to the
+    objective."""
+    p = LinearProblem()
+    first_stage_rows(p, inst, relax)
+    for d, b, prob, tag in zip(demands, costs, probs, tags):
+        second_stage_rows(p, inst, d, relax, tag=tag)
+        for name, c in _cost(inst, b, tag, float(prob)).items():
+            p.add_obj(name, c)
+    return p
+
+
+def _worst_cost(inst: Instance, demands, box: BoxParams, omega: float,
+                tags) -> LinearProblem:
+    """Worst cost, continuous: ``w`` over the first stage plus one recourse
+    block ``tags[s]`` per demand, each with the cost cone row
+    w - f(x, y^s, z^s; b_nominal) >= omega * ||q b_dev . y^s||."""
+    p = LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    first_stage_rows(p, inst, True)
+    for d, tag in zip(demands, tags):
+        second_stage_rows(p, inst, d, True, tag=tag)
+        terms = [{y_name(dest.id, tag): inst.q * float(dev)}
+                 for dest, dev in zip(inst.destinations, box.b_dev)]
+        p.add_cone(ConeRow("w", _cost(inst, box.b_nominal, tag), terms,
+                           scale=float(omega)))
+    return p
+
+
 def build_sp(inst: Instance, scens: ScenarioSet, relax: bool = True) -> LinearProblem:
     """Two-stage stochastic program: first-stage booking plus probability
     weighted recourse blocks, one (y^s, z^s) block per scenario."""
     if scens.costs is None:
         raise ValueError("stochastic program needs cost realizations")
-    p = LinearProblem()
-    first_stage_rows(p, inst, relax)
-    for s in range(scens.S):
-        second_stage_rows(p, inst, scens.demands[s], relax, tag=s)
-        for name, c in _cost(inst, scens.costs[s], s,
-                             float(scens.probs[s])).items():
-            p.add_obj(name, c)
-    return p
+    return _expected_cost(inst, scens.demands, scens.costs, scens.probs,
+                          relax, range(scens.S))
 
 
 def build_ws(inst: Instance, d, b, relax: bool = True) -> LinearProblem:
     """Deterministic problem with full knowledge of one realization."""
-    p = LinearProblem()
-    first_stage_rows(p, inst, relax)
-    second_stage_rows(p, inst, d, relax)
-    for name, c in _cost(inst, b).items():
-        p.add_obj(name, c)
-    return p
-
-
-def _cost_cone(inst: Instance, box: BoxParams, omega: float,
-               tag=None) -> ConeRow:
-    """Cone row w - f(x, y, z; b_nominal) >= omega * ||q b_dev . y|| of the
-    recourse block ``tag``."""
-    terms = [{y_name(dest.id, tag): inst.q * float(dev)}
-             for dest, dev in zip(inst.destinations, box.b_dev)]
-    return ConeRow("w", _cost(inst, box.b_nominal, tag), terms,
-                   scale=float(omega))
+    return _expected_cost(inst, [d], [b], [1.0], relax, [None])
 
 
 def build_ro_box(inst: Instance, box: BoxParams, relax: bool = True) -> LinearProblem:
@@ -100,30 +113,18 @@ def build_ro_box(inst: Instance, box: BoxParams, relax: bool = True) -> LinearPr
 
 
 def build_ro_ell(inst: Instance, box: BoxParams, omega: float) -> LinearProblem:
-    """Static robust counterpart with a cost ellipsoid of radius ``omega``:
-    the worst-cost row becomes the cone row
-    w - f(x,y,z; b_nominal) >= omega * ||q b_dev . y||. Continuous only."""
-    p = LinearProblem()
-    p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(p, inst, True)
-    second_stage_rows(p, inst, box.d_corner, True)
-    p.add_cone(_cost_cone(inst, box, omega))
-    return p
+    """Static robust counterpart with a demand box and a cost ellipsoid of
+    radius ``omega``: the worst cost at the box's corner demand. Continuous."""
+    return _worst_cost(inst, [box.d_corner], box, omega, [None])
 
 
 def build_trsocp(inst: Instance, scens: ScenarioSet,
                  omega: float) -> LinearProblem:
     """Tractable adjustable counterpart over the hull of the given scenarios:
-    shared booking x, one (y^s, z^s) block and one cone row per scenario,
-    demand of block s fixed at the scenario realization. Continuous."""
-    box = estimate_box(scens)
-    p = LinearProblem()
-    p.add_var("w", obj=1.0, lb=None)
-    first_stage_rows(p, inst, True)
-    for s in range(scens.S):
-        second_stage_rows(p, inst, scens.demands[s], True, tag=s)
-        p.add_cone(_cost_cone(inst, box, omega, s))
-    return p
+    the worst cost over the scenario demands, one (y^s, z^s) block and cone
+    row per scenario. Continuous."""
+    return _worst_cost(inst, scens.demands, estimate_box(scens), omega,
+                       range(scens.S))
 
 
 def build_recourse(inst: Instance, x_star, d, b,

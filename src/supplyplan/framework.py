@@ -84,13 +84,12 @@ def solve(p, cfg=None) -> Solution:
 
 
 def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
-    """Solve the first-stage model of ``method`` on scenarios ``scens``; the
-    robust models m2/m3 use ``box``, the cone models m3-m5 radius ``omega``."""
+    """Solve the first-stage model of ``method`` (m1-m4; m5 books by m4's)
+    on scenarios ``scens``; m2/m3 use ``box``, m3/m4 radius ``omega``."""
     build = {"m1": lambda: build_sp(inst, scens, relax),
              "m2": lambda: build_ro_box(inst, box, relax),
              "m3": lambda: build_ro_ell(inst, box, omega),
-             "m4": lambda: build_trsocp(inst, scens, omega),
-             "m5": lambda: build_trsocp(inst, scens, omega)}
+             "m4": lambda: build_trsocp(inst, scens, omega)}
     if method not in build:
         raise ValueError(f"unknown method {method!r}")
     return solve(build[method](), cfg)
@@ -172,16 +171,15 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
     b_next = scens.costs[tau]
 
     cells, times, stages = {}, {}, {}
-    trsocp = None  # (solution, booking), solved once for m4 and m5
+    solved = {}  # model -> (solution, booking); m5 books by m4's trSOCP
     for m in methods:
         t0 = time.perf_counter()
-        if m in ("m4", "m5") and trsocp is not None:
-            sol, fs = trsocp
-        else:
-            sol = solve_method(inst, m, prefix, box, omega, relax, cfg)
-            fs = extract_first_stage(inst, sol) if sol.optimal else None
-            if m in ("m4", "m5"):
-                trsocp = sol, fs
+        model = "m4" if m == "m5" else m
+        if model not in solved:
+            sol = solve_method(inst, model, prefix, box, omega, relax, cfg)
+            solved[model] = (sol, extract_first_stage(inst, sol)
+                             if sol.optimal else None)
+        sol, fs = solved[model]
         if fs is None:
             cells[m] = math.inf
             times[m] = time.perf_counter() - t0
@@ -248,6 +246,8 @@ def compute_evpi(sp_value: float, ws_values, probs=None) -> float:
     """Expected value of perfect information: SP optimum minus expected
     wait-and-see optimum."""
     ws_values = np.asarray(ws_values, dtype=float)
+    if ws_values.size == 0:
+        raise ValueError("no wait-and-see value to take the expectation of")
     if probs is None:
         probs = np.full(ws_values.size, 1.0 / ws_values.size)
     else:

@@ -119,25 +119,25 @@ class LinearProblem:
     def add_obj(self, name: str, coeff: float):
         self.obj[self._index[name]] += float(coeff)
 
+    def _check(self, coeffs: dict[str, float], what: str):
+        for name, c in coeffs.items():
+            if name not in self._index:
+                raise ValueError(f"{what} references undeclared variable {name!r}")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient on {name!r}")
+
     def add_row(self, coeffs: dict[str, float], relation: str, rhs: float):
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        for name, c in coeffs.items():
-            if name not in self._index:
-                raise ValueError(f"row references undeclared variable {name!r}")
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient on {name!r}")
+        self._check(coeffs, "row")
         if not math.isfinite(rhs):
             raise ValueError("non-finite right hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
 
     def add_cone(self, cone):
-        names = [cone.epigraph_var, *cone.affine_part]
-        names += [n for term in cone.cone_terms for n in term]
-        for name in names:
-            if name not in self._index:
-                raise ValueError(
-                    f"cone row references undeclared variable {name!r}")
+        for coeffs in ({cone.epigraph_var: 1.0}, cone.affine_part,
+                       *cone.cone_terms):
+            self._check(coeffs, "cone row")
         self.cones.append(cone)
 
     @property

@@ -241,7 +241,8 @@ def test_without_cone_rows_equals_solve_lp(cfg):
 
 
 def test_degenerate_cones_only(cfg):
-    # no live cone, so no slack and no cut: w >= 2x and w >= 3x at x = 5
+    # scale 0 or no terms: each cone is its slack row E x >= s >= 0 and
+    # is never cut, so w >= 2x and w >= 3x at x = 5
     p = sp.LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
     p.add_var("x", lb=None)

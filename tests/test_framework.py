@@ -115,6 +115,9 @@ def test_compute_evpi():
     for probs in ([1.0], [0.5, 0.25, 0.25]):
         with pytest.raises(ValueError, match="one probability per"):
             sp.compute_evpi(10.0, [1.0, 2.0], probs=probs)
+    for probs in (None, []):
+        with pytest.raises(ValueError, match="no wait-and-see value"):
+            sp.compute_evpi(10.0, [], probs=probs)
 
 
 def test_evpi_nonnegative_on_solved_instance(tight, tight_scens, cfg):
@@ -254,6 +257,19 @@ def test_m5_booking_carries_its_hull_rule():
         finite += math.isfinite(v)
     assert finite >= 1
 
+
+def test_m5_alone_solves_its_trsocp():
+    inst = sp.gen_instance(6, 2, seed=0)
+    scens = sp.gen_scenarios(inst, 30, seed=1)
+    both = sp.run_comparison(inst, scens, sbar=26, methods=["m4", "m5"])
+    alone = sp.run_comparison(inst, scens, sbar=26, methods=["m5"])
+    assert alone.first_stages.keys() == {("m5", tau) for tau in both.taus}
+    for tau in both.taus:
+        assert alone.cost("m5", tau) == both.cost("m5", tau)
+        m5, with_m4 = (r.first_stages[("m5", tau)] for r in (alone, both))
+        assert m5.x == with_m4.x
+        assert np.array_equal(m5.hull[0], with_m4.hull[0])
+        assert m5.hull[1] == with_m4.hull[1]
 
 
 def test_m5_covers_demand_the_tolerance_lets_through():

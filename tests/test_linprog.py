@@ -6,6 +6,7 @@ import scipy.sparse
 
 import supplyplan as sp
 from supplyplan import framework, linprog
+from supplyplan.cone import ConeRow
 from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
 
 import helpers
@@ -85,6 +86,12 @@ def test_validation_errors():
         p.add_row({"x": 1.0}, "<", 0.0)
     with pytest.raises(ValueError):
         p.add_row({"x": 1.0}, "<=", float("inf"))
+    # cone coefficients are checked as row ones
+    for cone in (ConeRow("x", {"x": math.nan}, [{"x": 1.0}], scale=1.0),
+                 ConeRow("x", {}, [{"x": 1.0}, {"x": math.inf}], scale=1.0)):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            p.add_cone(cone)
+    assert p.cones == []
 
 
 def test_add_var_accepts_infinite_bounds_on_the_open_side(cfg):
