@@ -3,10 +3,11 @@
 A cone row encodes ``epi - affine >= scale * ||(terms)||_2`` (membership of
 ``(epi - affine)/scale`` and the term vector in the Lorentz cone). The solver
 works on two sparse matrices over the problem's variables: ``E``, one row
-``epi - affine`` per cone, and ``T``, the terms of every cone stacked, each
-term knowing its cone and that cone's scale. Every cone is lifted onto a
-slack ``0 <= s <= E_i x`` (one linear row). A cone with scale 0 or no terms
-is then never violated, as ``E_i x >= s >= 0``, so it is never cut.
+``epi - affine`` per cone, and ``T``, the terms of every cone of positive
+scale stacked, each term knowing its cone and that cone's scale. Every cone
+is lifted onto a slack ``0 <= s <= E_i x`` (one linear row). A cone with
+scale 0 or no terms has no term in ``T``, so it is never violated, as
+``E_i x >= s >= 0``, and never cut.
 
 A cut is a weight vector ``w`` over a cone's terms, written as the row
 ``s - scale * w . terms >= 0`` on the slack and the terms only, never on the
@@ -57,8 +58,10 @@ def solve_cone(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     k = len(p.cones)
     E = (rows_to_csr(p, [{c.epigraph_var: 1.0} for c in p.cones])
          - rows_to_csr(p, [c.affine_part for c in p.cones]))
-    T = rows_to_csr(p, [term for c in p.cones for term in c.cone_terms])
-    sizes = np.array([len(c.cone_terms) for c in p.cones], dtype=int)
+    # a scale-0 cone keeps no terms: its rows would all read s >= 0
+    terms = [c.cone_terms if c.scale > 0.0 else [] for c in p.cones]
+    T = rows_to_csr(p, [term for ts in terms for term in ts])
+    sizes = np.array([len(ts) for ts in terms], dtype=int)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     owner = np.repeat(np.arange(k), sizes)     # term -> its cone
     scale = np.array([c.scale for c in p.cones])

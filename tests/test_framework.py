@@ -245,6 +245,9 @@ def test_m5_booking_carries_its_hull_rule():
     inst = sp.gen_instance(6, 2, seed=0)
     scens = sp.gen_scenarios(inst, 30, seed=1)
     report = sp.run_comparison(inst, scens, sbar=26, methods=["m4", "m5"])
+    # m5 run alone solves m4's trSOCP itself, to the same bookings and cells
+    alone = sp.run_comparison(inst, scens, sbar=26, methods=["m5"])
+    assert alone.first_stages.keys() == {("m5", tau) for tau in report.taus}
     finite = 0
     for tau in report.taus:
         m4 = report.first_stages[("m4", tau)]
@@ -255,21 +258,11 @@ def test_m5_booking_carries_its_hull_rule():
                                  scens.costs[tau])
         assert v == report.cost("m5", tau)  # bit-for-bit, inf included
         finite += math.isfinite(v)
+        m5_alone = alone.first_stages[("m5", tau)]
+        assert alone.cost("m5", tau) == report.cost("m5", tau)
+        assert m5_alone.x == m5.x and m5_alone.hull[1] == m5.hull[1]
+        assert np.array_equal(m5_alone.hull[0], m5.hull[0])
     assert finite >= 1
-
-
-def test_m5_alone_solves_its_trsocp():
-    inst = sp.gen_instance(6, 2, seed=0)
-    scens = sp.gen_scenarios(inst, 30, seed=1)
-    both = sp.run_comparison(inst, scens, sbar=26, methods=["m4", "m5"])
-    alone = sp.run_comparison(inst, scens, sbar=26, methods=["m5"])
-    assert alone.first_stages.keys() == {("m5", tau) for tau in both.taus}
-    for tau in both.taus:
-        assert alone.cost("m5", tau) == both.cost("m5", tau)
-        m5, with_m4 = (r.first_stages[("m5", tau)] for r in (alone, both))
-        assert m5.x == with_m4.x
-        assert np.array_equal(m5.hull[0], with_m4.hull[0])
-        assert m5.hull[1] == with_m4.hull[1]
 
 
 def test_m5_covers_demand_the_tolerance_lets_through():
