@@ -7,7 +7,6 @@ over the scenario hull, plus a rolling-horizon framework that compares the
 methods against realized demand.
 """
 
-from .cone import ConeRow, solve_cone
 from .formulations import (PHI_ZERO_TOL, FirstStage, PhiPositive,
                            build_recourse, build_ro_box, build_ro_ell,
                            build_sp, build_trsocp, build_ws,
@@ -17,7 +16,8 @@ from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
                         in_sample_stability, monte_carlo_validation,
                         price_draws, run_comparison, stress_worst_case)
 from .generate import gen_instance, gen_scenarios
-from .linprog import (LinearProblem, Solution, SolverConfig, Status, solve_lp)
+from .linprog import (ConeRow, LinearProblem, Solution, SolverConfig, Status,
+                      solve_lp)
 from .model import (Arc, Destination, Instance, Supplier, booking_cost,
                     recourse_cost)
 from .projection import project_simplex_lsq
@@ -40,5 +40,5 @@ __all__ = [
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
     "omega_for_epsilon", "price_draws", "project_simplex_lsq",
     "recourse_cost", "recover_adjustable_m5", "run_comparison", "sample_costs",
-    "save_scenarios", "solve_cone", "solve_lp", "stress_worst_case",
+    "save_scenarios", "solve_lp", "stress_worst_case",
 ]

@@ -16,9 +16,9 @@ from pathlib import Path
 from .formulations import build_sp, build_ws
 from .framework import (ALL_COLUMNS, METHOD_COLUMNS, compute_evpi,
                         in_sample_stability, monte_carlo_validation,
-                        run_comparison, solve, solve_method)
+                        run_comparison, solve_method)
 from .generate import gen_instance, gen_scenarios
-from .linprog import SolverConfig, Status
+from .linprog import SolverConfig, Status, solve_lp
 from .model import Instance
 from .uncertainty import (estimate_box, demand_gamma, load_scenarios,
                           omega_for_epsilon, sample_costs, save_scenarios)
@@ -167,8 +167,8 @@ def cmd_solve(args) -> int:
         if not 0 <= s < scens.S:
             print("error: scenario index out of range", file=sys.stderr)
             return EXIT_CONFIG
-        sol = solve(build_ws(inst, scens.demands[s], scens.costs[s],
-                             args.relax), cfg)
+        sol = solve_lp(build_ws(inst, scens.demands[s], scens.costs[s],
+                                args.relax), cfg)
     else:
         method = {"sp": "m1", "ro-box": "m2", "ro-ell": "m3",
                   "trsocp": "m4"}[args.model]
@@ -286,13 +286,13 @@ def cmd_montecarlo(args) -> int:
 def cmd_evpi(args) -> int:
     inst, scens = _load(args)
     cfg = SolverConfig()
-    sp = solve(build_sp(inst, scens, args.relax), cfg)
+    sp = solve_lp(build_sp(inst, scens, args.relax), cfg)
     if not sp.optimal:
         return _status_exit(sp.status)
     ws_values = []
     for s in range(scens.S):
-        sol = solve(build_ws(inst, scens.demands[s], scens.costs[s],
-                             args.relax), cfg)
+        sol = solve_lp(build_ws(inst, scens.demands[s], scens.costs[s],
+                                args.relax), cfg)
         if not sol.optimal:
             return _status_exit(sol.status)
         ws_values.append(sol.objective)

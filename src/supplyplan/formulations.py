@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeRow
-from .linprog import LinearProblem, Solution
+from .linprog import ConeRow, LinearProblem, Solution
 from .model import (ArcKey, Instance, _as_demand, booking_cost,
                     first_stage_rows, second_stage_rows, x_name, y_name,
                     z_name)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import solve_cone
 from .formulations import (FirstStage, PhiPositive, build_recourse,
                            build_ro_box, build_ro_ell, build_sp, build_trsocp,
                            build_ws, extract_first_stage,
@@ -77,12 +76,6 @@ def _objective_or_inf(sol) -> float:
     return sol.objective if sol.optimal else math.inf
 
 
-def solve(p, cfg=None) -> Solution:
-    """Solve ``p`` by the cone cut loop when it carries cone rows, else by
-    one HiGHS call, LP or MIP as its integrality marks say."""
-    return solve_cone(p, cfg) if p.cones else solve_lp(p, cfg)
-
-
 def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
     """Solve the first-stage model of ``method`` (m1-m4; m5 books by m4's)
     on scenarios ``scens``; m2/m3 use ``box``, m3/m4 radius ``omega``."""
@@ -92,7 +85,7 @@ def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
              "m4": lambda: build_trsocp(inst, scens, omega)}
     if method not in build:
         raise ValueError(f"unknown method {method!r}")
-    return solve(build[method](), cfg)
+    return solve_lp(build[method](), cfg)
 
 
 def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
@@ -104,7 +97,9 @@ def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
 def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     """Yield the realized cost of ``booking`` at each draw ``(ds[i], bs[i])``,
     inf if infeasible: an m5 booking (with a ``hull``) by its hull decision
-    rule, any other by the optimal fixed-booking recourse.
+    rule, any other by the optimal fixed-booking recourse. A non-finite
+    demand or cost in any draw raises ``ValueError`` before any draw is
+    priced.
 
     The recourse problem is built once; each draw overwrites its demand
     cover (C3) bounds and purchase costs and re-solves it in HiGHS, a
@@ -113,6 +108,10 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     leaves, and that is the same from any optimal vertex."""
     if len(ds) != len(bs):
         raise ValueError(f"{len(ds)} demands but {len(bs)} costs")
+    draws = np.array([[[*_as_demand(inst, v).values()] for v in (d, b)]
+                      for d, b in zip(ds, bs)])
+    if not np.isfinite(draws).all():
+        raise ValueError("a draw has a non-finite demand or cost")
     if isinstance(booking, FirstStage) and booking.hull is not None:
         yield from (_price_m5(inst, booking, d, b) for d, b in zip(ds, bs))
         return
@@ -127,8 +126,7 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     l0 = np.array([dest.l0 for dest in dests], dtype=float)
     integer = np.array(p.integer, dtype=np.int32)   # once, not per draw
     basis = None
-    for d, b in zip(ds, bs):
-        d, b = (np.array([*_as_demand(inst, v).values()]) for v in (d, b))
+    for d, b in draws:
         lo[cover] = d - l0
         c[y] = inst.q * b
         sol, _, warm = run_highs(c, A, lo, hi, col_lo, col_hi, basis,
@@ -191,7 +189,7 @@ def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
         times[m] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ws_sol = solve(build_ws(inst, d_next, b_next, relax), cfg)
+    ws_sol = solve_lp(build_ws(inst, d_next, b_next, relax), cfg)
     cells["ws"] = _objective_or_inf(ws_sol)
     times["ws"] = time.perf_counter() - t0
     return tau, cells, times, stages
@@ -293,7 +291,7 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
     entries = []
     for n in s_list:
         sub = ScenarioSet(demands[:n], costs[:n], dest_ids=scens.dest_ids)
-        sol = solve(build_sp(inst, sub, relax=True), cfg)
+        sol = solve_lp(build_sp(inst, sub, relax=True), cfg)
         entries.append((n, _objective_or_inf(sol)))
     return StabilityCurve(entries=entries, seed=seed)
 
@@ -353,6 +351,6 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
         tau = max(per_tau)
         out[method] = evaluate_recourse(inst, per_tau[tau], d_ext, b_ext,
                                         True, cfg)
-    ws_sol = solve(build_ws(inst, d_ext, b_ext, relax=True), cfg)
+    ws_sol = solve_lp(build_ws(inst, d_ext, b_ext, relax=True), cfg)
     out["ws"] = _objective_or_inf(ws_sol)
     return out

@@ -1,14 +1,38 @@
-"""Linear problem container and the HiGHS engine behind every formulation.
+"""Linear problem container and the one solve of every problem it holds.
 
 A problem reaches HiGHS in one form, ``lo <= A x <= hi`` with column bounds
 (``_row_form``), through one function, ``run_highs``, which calls scipy's
 bundled HiGHS binding, for an LP and, given integrality marks, for a MIP.
-``solve_lp`` solves a problem without cone rows by one cold ``run_highs``
-call with the problem's marks, so it runs the LP or the MIP the problem
-is. The two loops that re-solve one LP many times call ``run_highs`` with
-the previous solve's basis: the cone cut loop, whose LP grows by each
-round's cuts, and the recourse pricer, which changes only a booking's
-demand bounds and purchase costs from one draw to the next.
+``solve_lp`` solves any problem: one without cone rows by one cold
+``run_highs`` call with the problem's marks, so it runs the LP or the MIP the
+problem is; one with cone rows by the cut loop below. The two loops that
+re-solve one LP many times call ``run_highs`` with the previous solve's
+basis: the cut loop, whose LP grows by each round's cuts, and the recourse
+pricer, which changes only a booking's demand bounds and purchase costs from
+one draw to the next.
+
+A cone row (:class:`ConeRow`) encodes ``epi - affine >= scale * ||(terms)||_2``
+(membership of ``(epi - affine)/scale`` and the term vector in the Lorentz
+cone), and the cut loop solves it by outer approximation. It works on two
+sparse matrices over the problem's variables: ``E``, one row
+``epi - affine`` per cone, and ``T``, the terms of every cone of positive
+scale stacked, each term knowing its cone and that cone's scale. Every cone
+is lifted onto a slack ``0 <= s <= E_i x`` (one linear row). A cone with
+scale 0 or no terms has no term in ``T``, so it is never violated, as
+``E_i x >= s >= 0``, and never cut.
+
+A cut is a weight vector ``w`` over a cone's terms, written as the row
+``s - scale * w . terms >= 0`` on the slack and the terms only, never on the
+wide affine part, so the LP stays sparse. Every ``w`` used has unit norm,
+so each cut is a gradient inequality of the norm, hence valid for the cone.
+The first LP carries the axis cuts ``w = +/-e_l`` and the uniform
+direction; each round then cuts every cone its point violates at
+``w = t/||t||``, ``t = T x``. A violated cone's cut separates the point, as
+``s <= E_i x < scale * ||t||``.
+
+The LP (problem rows, link rows, initial cuts) is assembled once. Each
+round appends its cuts as one block of rows and re-solves HiGHS warm from
+the previous round's basis, the new rows basic.
 """
 
 from __future__ import annotations
@@ -65,12 +89,24 @@ class Solution:
     values: dict[str, float] = field(default_factory=dict)
     gap: float = 0.0             # MIP only
     cone_residual: float = 0.0   # cone problems only
-    lp_rounds: int = 0           # cone problems only: LP solves of the cut loop
-    simplex_iters: int = 0
+    lp_rounds: int = 1           # HiGHS solves made: 1, or the cut rounds
+    simplex_iters: int = 0       # over all those solves
 
     @property
     def optimal(self) -> bool:
         return self.status is Status.OPTIMAL
+
+
+@dataclass
+class ConeRow:
+    epigraph_var: str
+    affine_part: dict[str, float]
+    cone_terms: list[dict[str, float]] = field(default_factory=list)
+    scale: float = 0.0
+
+    def __post_init__(self):
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("cone scale must be finite and >= 0")
 
 
 class LinearProblem:
@@ -79,7 +115,7 @@ class LinearProblem:
 
     Variables default to lower bound 0 and no upper bound. Rows are
     ``(coeffs, relation, rhs)`` with ``coeffs`` a name -> value map; cone
-    rows are :class:`supplyplan.cone.ConeRow` objects.
+    rows are :class:`ConeRow` objects.
     """
 
     def __init__(self):
@@ -90,7 +126,7 @@ class LinearProblem:
         self.ub: list[float | None] = []
         self.integer: list[bool] = []
         self.rows: list[tuple[dict[str, float], str, float]] = []
-        self.cones: list = []
+        self.cones: list[ConeRow] = []
         self.objective_offset: float = 0.0
 
     # -- construction ------------------------------------------------------
@@ -117,6 +153,7 @@ class LinearProblem:
         return name
 
     def add_obj(self, name: str, coeff: float):
+        self._check({name: coeff}, "objective")
         self.obj[self._index[name]] += float(coeff)
 
     def _check(self, coeffs: dict[str, float], what: str):
@@ -134,7 +171,7 @@ class LinearProblem:
             raise ValueError("non-finite right hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
 
-    def add_cone(self, cone):
+    def add_cone(self, cone: ConeRow):
         for coeffs in ({cone.epigraph_var: 1.0}, cone.affine_part,
                        *cone.cone_terms):
             self._check(coeffs, "cone row")
@@ -168,20 +205,97 @@ def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
 
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
-    """Solve ``p`` without its cone rows, with its integrality marks: an LP
-    by dual simplex, a MIP by HiGHS's branch and bound within
-    ``cfg.max_bb_nodes`` nodes, its values rounded onto the lattice. The
-    relative gap is off, so HiGHS's default absolute gap (1e-6) governs
-    termination."""
+    """Solve ``p``. Without cone rows it is one HiGHS call with the
+    integrality marks: an LP by dual simplex, a MIP by HiGHS's branch and
+    bound within ``cfg.max_bb_nodes`` nodes, its values rounded onto the
+    lattice. The relative gap is off, so HiGHS's default absolute gap (1e-6)
+    governs termination. With cone rows (continuous only) it is the cut loop
+    within ``cfg.max_cut_rounds`` rounds and ``cfg.cone_tol``."""
     cfg = cfg or SolverConfig()
-    sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
-                          max_bb_nodes=cfg.max_bb_nodes)
+    if p.cones:
+        sol, x = _cut_loop(p, cfg)
+    else:
+        sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
+                              max_bb_nodes=cfg.max_bb_nodes)
     if x is None:
         return sol
     values = {name: float(round(v)) if integer else float(v)
               for name, v, integer in zip(p.var_names, x, p.integer)}
     return replace(sol, objective=sol.objective + p.objective_offset,
                    values=values)
+
+
+def _cut_loop(p: LinearProblem, cfg: SolverConfig):
+    """The cut loop of the module docstring on ``p``. Returns ``(solution,
+    x)`` as ``run_highs`` does, ``x`` over the problem's variables only."""
+    if any(p.integer):
+        raise ValueError("cone problems are solved in continuous variables only")
+
+    cost, A, lo, hi, col_lo, col_hi = _row_form(p)
+    n = p.num_vars
+    k = len(p.cones)
+    E = (rows_to_csr(p, [{c.epigraph_var: 1.0} for c in p.cones])
+         - rows_to_csr(p, [c.affine_part for c in p.cones]))
+    # a scale-0 cone keeps no terms: its rows would all read s >= 0
+    terms = [c.cone_terms if c.scale > 0.0 else [] for c in p.cones]
+    T = rows_to_csr(p, [term for ts in terms for term in ts])
+    sizes = np.array([len(ts) for ts in terms], dtype=int)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(k), sizes)     # term -> its cone
+    scale = np.array([c.scale for c in p.cones])
+    term_scale = sp.diags(scale[owner])
+
+    def cut_rows(W, cone):
+        """Row ``s_cone[i] - sum_l W[i, l] scale_l term_l >= 0`` per row of W."""
+        on_slack = sp.csr_matrix((np.ones(len(cone)), cone,
+                                  np.arange(len(cone) + 1)),
+                                 shape=(len(cone), k))
+        return sp.hstack([-(W @ term_scale) @ T, on_slack], format="csr")
+
+    # axis cuts +/-e_l, then the uniform direction, which tightens the start
+    # when many terms are active at once
+    axis = sp.identity(len(owner), format="csr")
+    uniform = sp.csr_matrix((1.0 / np.sqrt(sizes[owner]),
+                             np.arange(len(owner)), bounds),
+                            shape=(k, len(owner)))
+    first = cut_rows(sp.vstack([axis, -axis, uniform]),
+                     np.concatenate([owner, owner, np.arange(k)]))
+    link = -sp.identity(k, format="csr")   # E x - s >= 0
+    A = sp.vstack([sp.hstack([A, sp.csr_matrix((A.shape[0], k))]),
+                   sp.hstack([E, link]), first], format="csr")
+    added = k + first.shape[0]
+    lo = np.concatenate([lo, np.zeros(added)])
+    hi = np.concatenate([hi, np.full(added, np.inf)])
+    cost = np.concatenate([cost, np.zeros(k)])
+    col_lo = np.concatenate([col_lo, np.zeros(k)])
+    col_hi = np.concatenate([col_hi, np.full(k, np.inf)])
+
+    lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi)
+    rounds, iters = 1, lp.simplex_iters
+    while lp.optimal:
+        x = x[:n]  # drops the slacks
+        t = T @ x
+        nrm = np.sqrt(np.bincount(owner, t * t, minlength=k))
+        rel = (scale * nrm - E @ x) / np.maximum(1.0, nrm)
+        # the origin is covered by the axis cuts
+        violated = (rel > cfg.cone_tol) & (nrm > 0.0)
+        cut = np.flatnonzero(violated)
+        if not cut.size or rounds > cfg.max_cut_rounds:
+            status = Status.CUT_LIMIT if cut.size else Status.OPTIMAL
+            return replace(lp, status=status,
+                           cone_residual=float(rel.max(initial=0.0)),
+                           lp_rounds=rounds, simplex_iters=iters), x
+        on_cut = np.flatnonzero(violated[owner])   # their terms
+        W = sp.csr_matrix((t[on_cut] / nrm[owner[on_cut]], on_cut,
+                           np.concatenate([[0], np.cumsum(sizes[cut])])),
+                          shape=(cut.size, len(owner)))
+        A = sp.vstack([A, cut_rows(W, cut)], format="csr")
+        lo = np.concatenate([lo, np.zeros(cut.size)])
+        hi = np.concatenate([hi, np.full(cut.size, np.inf)])
+        lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi, basis)
+        rounds += 1
+        iters += lp.simplex_iters
+    return replace(lp, lp_rounds=rounds, simplex_iters=iters), None
 
 
 # the HiGHS model statuses a solve reports; any other is a backend failure.
@@ -202,7 +316,7 @@ _FEASIBLE = int(_highs.SolutionStatus.kSolutionStatusFeasible)
 def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None,
               integrality=None, max_bb_nodes=SolverConfig.max_bb_nodes):
     """Solve ``min c.x`` over ``lo <= A x <= hi``, ``col_lo <= x <= col_hi``
-    on a fresh HiGHS instance: every solve of the package, LP or MIP,
+    on a fresh HiGHS instance: every HiGHS solve of the package, LP or MIP,
     including each cut-loop round and each pricing draw, is made here.
 
     An LP is solved by dual simplex. ``basis`` is the basis a previous LP

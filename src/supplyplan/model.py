@@ -106,12 +106,6 @@ class Instance:
     def dest_ids(self) -> list[str]:
         return [d.id for d in self.destinations]
 
-    def destination(self, dest_id: str) -> Destination:
-        for d in self.destinations:
-            if d.id == dest_id:
-                return d
-        raise KeyError(dest_id)
-
     def arcs_to(self, dest_id: str) -> list[Arc]:
         return [a for a in self.arcs if a.dest == dest_id]
 

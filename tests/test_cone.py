@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supplyplan as sp
-from supplyplan import cone
-from supplyplan.cone import ConeRow
-from supplyplan.linprog import Status, _row_form
+from supplyplan import linprog
+from supplyplan.linprog import ConeRow, Status, _row_form
 
 
 def _norm_problem(point, omega):
@@ -27,7 +26,7 @@ def _norm_problem(point, omega):
 def test_matches_euclidean_norm(cfg):
     point = [3.0, -4.0]
     p = _norm_problem(point, omega=2.0)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(10.0, rel=1e-5)
     assert sol.cone_residual <= cfg.cone_tol
@@ -37,7 +36,7 @@ def test_matches_euclidean_norm(cfg):
 @given(point=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8),
        omega=st.floats(0.01, 10.0))
 def test_higher_dimension_norm(point, omega):
-    sol = sp.solve_cone(_norm_problem(point, omega), sp.SolverConfig())
+    sol = sp.solve_lp(_norm_problem(point, omega), sp.SolverConfig())
     assert sol.optimal
     assert sol.objective == pytest.approx(omega * np.linalg.norm(point),
                                           rel=1e-5, abs=1e-9)
@@ -45,17 +44,17 @@ def test_higher_dimension_norm(point, omega):
 
 def test_reports_rounds_and_simplex_iterations(cfg):
     p = _norm_problem([1.0, 2.0, -2.0, 4.0, 0.5], omega=1.0)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.lp_rounds >= 1 and sol.simplex_iters > 0
-    capped = sp.solve_cone(p, sp.SolverConfig(max_cut_rounds=1))
+    capped = sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=1))
     assert 1 <= capped.lp_rounds <= 2
 
 
 def test_infeasible_at_the_first_round(cfg):
     p = _norm_problem([3.0, 4.0], omega=1.0)
     p.add_row({"x0": 1.0}, "<=", 2.0)  # contradicts x0 == 3
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.INFEASIBLE
     assert sol.objective == math.inf
     assert sol.lp_rounds == 1
@@ -66,7 +65,7 @@ def test_infeasible_only_after_a_warm_round(cfg):
     # the cut at the incumbent gives w >= ||(3, 4)|| = 5
     p = _norm_problem([3.0, 4.0], omega=1.0)
     p.add_row({"w": 1.0}, "<=", 4.99)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.INFEASIBLE
     assert sol.objective == math.inf
     assert sol.lp_rounds == 2
@@ -78,14 +77,14 @@ def test_omega_zero_reduces_to_linear(cfg):
     p.add_var("x", lb=None)
     p.add_row({"x": 1.0}, "==", 5.0)
     p.add_cone(ConeRow("w", {"x": 2.0}, [{"x": 1.0}], scale=0.0))
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal and sol.objective == pytest.approx(10.0, abs=1e-7)
 
 
 def test_affine_part_shifts_epigraph(cfg):
     p = _norm_problem([3.0, 4.0], omega=1.0)
     p.cones[0].affine_part = {"x0": 1.0}  # w >= x0 + ||x||
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.objective == pytest.approx(8.0, rel=1e-5)
 
 
@@ -96,7 +95,7 @@ def test_affine_part_over_several_variables(cfg):
         p.add_var(name, lb=None)
         p.add_row({name: 1.0}, "==", value)
     p.cones[0].affine_part = {"u": 2.0, "v": 3.0}
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(3.0 - 6.0 + 1.5 * 5.0, rel=1e-5)
     assert sol.cone_residual <= cfg.cone_tol
@@ -105,7 +104,7 @@ def test_affine_part_over_several_variables(cfg):
 def test_values_hold_the_problem_variables_only(cfg):
     p = _norm_problem([1.0, -2.0, 2.0], omega=1.0)
     p.add_cone(ConeRow("w", {}, [{"x0": 1.0}], scale=0.0))  # degenerate
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert list(sol.values) == p.var_names
 
@@ -115,13 +114,13 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
     the nonzeros it would have with the affine part copied into each cut."""
     inst = sp.gen_instance(6, 4, seed=12)
     p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 6, seed=13), 2.75)
-    matrices, run_highs = [], cone.run_highs
+    matrices, run_highs = [], linprog.run_highs
 
     def recording(c, A, *args):
         matrices.append(A)
         return run_highs(c, A, *args)
-    monkeypatch.setattr(cone, "run_highs", recording)
-    assert sp.solve_cone(p, cfg).optimal
+    monkeypatch.setattr(linprog, "run_highs", recording)
+    assert sp.solve_lp(p, cfg).optimal
 
     live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
     assert len(live) == 6
@@ -140,6 +139,30 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
     assert final.nnz <= first.nnz + widest * (final.shape[0] - first.shape[0])
 
 
+def _worst_violation(p, values):
+    """max over the cones of ``scale * ||terms|| - (epi - affine)``."""
+    def at(coeffs):
+        return sum(c * values[name] for name, c in coeffs.items())
+    return max(c.scale * math.hypot(*map(at, c.cone_terms))
+               - values[c.epigraph_var] + at(c.affine_part) for c in p.cones)
+
+
+def test_solve_lp_reaches_the_cone_optimum_of_m3_and_m4(cfg):
+    """The public solve keeps the cone rows of m3 and m4: without them
+    both LPs are unbounded below."""
+    inst = sp.gen_instance(6, 4, seed=12)
+    scens = sp.gen_scenarios(inst, 16, seed=13)
+    for p, optimum in ((sp.build_ro_ell(inst, sp.estimate_box(scens), 2.75),
+                        19419.462772895124),
+                       (sp.build_trsocp(inst, scens, 2.75),
+                        17389.467334024048)):
+        sol = sp.solve_lp(p, cfg)
+        assert sol.optimal and sol.lp_rounds >= 1
+        assert sol.objective == pytest.approx(optimum, rel=1e-9)
+        assert sol.cone_residual <= cfg.cone_tol
+        assert _worst_violation(p, sol.values) <= 1e-6 * abs(optimum)
+
+
 def test_multiple_cones_take_the_max(cfg):
     p = sp.LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
@@ -147,7 +170,7 @@ def test_multiple_cones_take_the_max(cfg):
     p.add_row({"x": 1.0}, "==", 2.0)
     p.add_cone(ConeRow("w", {}, [{"x": 1.0}], scale=1.0))
     p.add_cone(ConeRow("w", {}, [{"x": 1.0}], scale=3.0))
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.objective == pytest.approx(6.0, rel=1e-5)
 
 
@@ -155,7 +178,7 @@ def test_objective_nondecreasing_in_omega(cfg):
     values = []
     for omega in (0.0, 0.5, 1.0, 2.0, math.sqrt(15.0)):
         p = _norm_problem([1.5, -2.5, 0.5], omega)
-        sol = sp.solve_cone(p, cfg)
+        sol = sp.solve_lp(p, cfg)
         assert sol.optimal
         values.append(sol.objective)
     for lo, hi in zip(values, values[1:]):
@@ -166,7 +189,7 @@ def test_outer_approximation_is_a_lower_bound(cfg):
     # with a coarse cut budget the OA value must not exceed the true optimum
     loose = sp.SolverConfig(max_cut_rounds=1)
     p = _norm_problem([3.0, 4.0, 5.0], omega=1.0)
-    sol = sp.solve_cone(p, loose)
+    sol = sp.solve_lp(p, loose)
     true = float(np.linalg.norm([3.0, 4.0, 5.0]))
     assert sol.objective <= true + 1e-9
     if sol.status is Status.CUT_LIMIT:
@@ -183,7 +206,7 @@ def test_cut_limit_status():
         p.add_var(f"x{i}", lb=None)
     p.add_row({f"x{i}": i + 1.0 for i in range(8)}, ">=", 10.0)
     p.add_cone(ConeRow("w", {}, [{f"x{i}": 1.0} for i in range(8)], scale=1.0))
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 2
     assert sol.cone_residual > cfg.cone_tol
     assert sol.objective <= 10.0 / math.sqrt(204.0)  # 204 = sum_i i^2
@@ -195,7 +218,7 @@ def test_rejects_integer_marks(cfg):
     p.add_var("n", ub=3.0, integer=True)
     p.add_cone(ConeRow("w", {}, [{"n": 1.0}], scale=1.0))
     with pytest.raises(ValueError):
-        sp.solve_cone(p, cfg)
+        sp.solve_lp(p, cfg)
 
 
 def test_add_cone_rejects_undeclared_names():
@@ -220,7 +243,7 @@ def test_residual_is_relative():
     # the initial cuts give w = (3 + 4) / sqrt(2) < ||(3, 4)|| = 5; the
     # residual divides the violation by max(1, ||t||) = 5
     p = _norm_problem([3.0, 4.0], omega=1.0)
-    sol = sp.solve_cone(p, sp.SolverConfig(max_cut_rounds=0))
+    sol = sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=0))
     assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 1
     assert sol.cone_residual == pytest.approx((5.0 - 7.0 / math.sqrt(2.0)) / 5.0,
                                               rel=1e-9)
@@ -233,10 +256,9 @@ def test_without_cone_rows_equals_solve_lp(cfg):
         p.add_var(name, lb=None)
         p.add_row({name: 1.0}, "==", value)
     p.add_row({"w": 1.0, "x0": -2.0, "x1": 1.0}, ">=", 0.0)
-    sol, lp = sp.solve_cone(p, cfg), sp.solve_lp(p)
-    assert sol.optimal and lp.optimal
-    assert sol.objective == lp.objective == pytest.approx(10.0)
-    assert sol.values == lp.values
+    sol = sp.solve_lp(p, cfg)
+    assert sol.optimal and sol.objective == pytest.approx(10.0)
+    assert sol.values == pytest.approx({"w": 10.0, "x0": 3.0, "x1": -4.0})
     assert sol.cone_residual == 0.0 and sol.lp_rounds == 1
 
 
@@ -249,7 +271,7 @@ def test_degenerate_cones_only(cfg):
     p.add_row({"x": 1.0}, "==", 5.0)
     p.add_cone(ConeRow("w", {"x": 2.0}, [{"x": 1.0}], scale=0.0))
     p.add_cone(ConeRow("w", {"x": 3.0}, [], scale=1.0))
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal and sol.objective == pytest.approx(15.0, abs=1e-7)
     assert sol.cone_residual == 0.0 and sol.lp_rounds == 1
     assert list(sol.values) == p.var_names

@@ -96,7 +96,7 @@ def test_ro_box_zero_deviation_equals_ws_at_nominal(tight, tight_scens, cfg):
 def test_ro_ell_omega_zero_equals_nominal_cost_box(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens)
     p = sp.build_ro_ell(tight, box, 0.0)
-    a = sp.solve_cone(p, cfg).objective
+    a = sp.solve_lp(p, cfg).objective
     nominal = sp.BoxParams(box.d_nominal, box.d_dev, box.b_nominal,
                            np.zeros_like(box.b_dev))
     b = sp.solve_lp(sp.build_ro_box(tight, nominal), cfg).objective
@@ -109,16 +109,16 @@ def test_ro_ell_between_nominal_and_box(tight, tight_scens, cfg):
     box_val = sp.solve_lp(sp.build_ro_box(tight, box), cfg).objective
     omega = math.sqrt(tight_scens.D)
     p = sp.build_ro_ell(tight, box, omega)
-    ell_val = sp.solve_cone(p, cfg).objective
+    ell_val = sp.solve_lp(p, cfg).objective
     assert ell_val >= box_val - 1e-6 * abs(box_val)
 
 
 def test_trsocp_below_ro_ell(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens)
     p = sp.build_ro_ell(tight, box, 2.75)
-    ell_val = sp.solve_cone(p, cfg).objective
+    ell_val = sp.solve_lp(p, cfg).objective
     p4 = sp.build_trsocp(tight, tight_scens, 2.75)
-    tr_val = sp.solve_cone(p4, cfg).objective
+    tr_val = sp.solve_lp(p4, cfg).objective
     assert tr_val <= ell_val + 1e-5 * abs(ell_val)
 
 
@@ -161,7 +161,7 @@ def test_extract_first_stage_clamps_negatives(one_arc):
 
 def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
     p = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     lam = np.zeros(tight_scens.S)
     lam[2] = 1.0
     y, z = sp.recover_adjustable_m5(tight, sol, lam, 0.0,
@@ -175,7 +175,7 @@ def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
 
 def test_recover_rejects_bad_lambda(tight, tight_scens, cfg):
     p = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     with pytest.raises(ValueError):
         sp.recover_adjustable_m5(tight, sol, np.full(tight_scens.S, 0.5), 0.0,
                                  tight_scens.demands[0])
@@ -183,7 +183,7 @@ def test_recover_rejects_bad_lambda(tight, tight_scens, cfg):
 
 def test_recover_raises_outside_hull(tight, tight_scens, cfg):
     p = sp.build_trsocp(tight, tight_scens, 2.75)
-    sol = sp.solve_cone(p, cfg)
+    sol = sp.solve_lp(p, cfg)
     d = tight_scens.demands[0]
     lam = np.zeros(tight_scens.S)
     lam[0] = 1.0

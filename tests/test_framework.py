@@ -5,7 +5,7 @@ import pytest
 
 import supplyplan as sp
 from supplyplan import framework
-from supplyplan.cone import ConeRow
+from supplyplan.linprog import ConeRow
 
 import helpers
 
@@ -219,26 +219,24 @@ def _knapsack(integer):
     return p
 
 
-def _same(a, b):
-    return (a.status, a.objective, a.values) == (b.status, b.objective, b.values)
-
-
 def test_solve_dispatches_on_the_problem(cfg):
-    mip = _knapsack(integer=True)
-    assert _same(framework.solve(mip, cfg), sp.solve_lp(mip, cfg))
-    assert framework.solve(mip, cfg).objective == pytest.approx(-9.0)
+    mip = sp.solve_lp(_knapsack(integer=True), cfg)
+    assert mip.optimal and mip.objective == pytest.approx(-9.0)
+    assert mip.values == {"a": 1.0, "b": 1.0, "c": 0.0}
+    assert mip.lp_rounds == 1
 
     p = sp.LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
     p.add_var("x", lb=None)
     p.add_row({"x": 1.0}, "==", -3.0)
     p.add_cone(ConeRow("w", {}, [{"x": 1.0}], scale=2.0))
-    assert _same(framework.solve(p, cfg), sp.solve_cone(p, cfg))
-    assert framework.solve(p, cfg).objective == pytest.approx(6.0)
+    cone = sp.solve_lp(p, cfg)
+    assert cone.optimal and cone.objective == pytest.approx(6.0)
+    assert cone.lp_rounds >= 1
 
-    lp = _knapsack(integer=False)
-    assert _same(framework.solve(lp, cfg), sp.solve_lp(lp, cfg))
-    assert framework.solve(lp, cfg).objective < -9.0
+    lp = sp.solve_lp(_knapsack(integer=False), cfg)
+    assert lp.optimal and lp.objective < -9.0
+    assert lp.lp_rounds == 1
 
 
 def test_m5_booking_carries_its_hull_rule():
@@ -385,6 +383,37 @@ def test_price_draws_rejects_unequal_draw_counts(monkeypatch):
                 list(sp.price_draws(inst, booking, ds, [[8.0, 9.0]], relax))
 
 
+NON_FINITE_DRAWS = {
+    "nan cost": ([[60.0, 40.0]], [[math.nan, 9.0]]),
+    "inf cost in draw 2": ([[60.0, 40.0]] * 2, [[8.0, 9.0], [8.0, math.inf]]),
+    "nan demand in draw 2": ([[60.0, 40.0], [math.nan, 40.0]],
+                             [[8.0, 9.0]] * 2),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_DRAWS)
+def test_price_draws_rejects_non_finite_draws(monkeypatch, case):
+    inst = _minimum_and_stock()
+    ds, bs = NON_FINITE_DRAWS[case]
+    # no draw may be priced
+    monkeypatch.setattr(framework, "run_highs", None)
+    monkeypatch.setattr(framework, "_price_m5", None)
+    m5 = sp.FirstStage(BOOKING, hull=(np.zeros((1, 2)), None))
+    for booking in (BOOKING, m5):
+        for relax in (True, False):
+            with pytest.raises(ValueError, match="non-finite demand or cost"):
+                next(sp.price_draws(inst, booking, ds, bs, relax))
+
+
+def test_monte_carlo_rejects_a_non_finite_cost():
+    # a NaN mean cost makes every cost draw NaN, which used to price as nan
+    inst = _minimum_and_stock()
+    stages = {"m1": {1: sp.FirstStage(BOOKING)}}
+    with pytest.raises(ValueError, match="non-finite demand or cost"):
+        sp.monte_carlo_validation(inst, stages, 5, 0, 0.2, 0.2,
+                                  [60.0, 40.0], [math.nan, 9.0])
+
+
 def test_price_draws_keeps_m5_and_integer_pricing(tight, tight_scens,
                                                   small_report, cfg):
     ds, bs = tight_scens.demands, tight_scens.costs
@@ -398,6 +427,6 @@ def test_price_draws_keeps_m5_and_integer_pricing(tight, tight_scens,
     bs = [[8.0, 9.0], [8.2, 9.1], [8.5, 9.5]]
     for booking in (BOOKING, SHORT_BOOKING):
         integer = list(sp.price_draws(inst, booking, ds, bs, False, cfg))
-        assert integer == [framework._objective_or_inf(framework.solve(
+        assert integer == [framework._objective_or_inf(sp.solve_lp(
             sp.build_recourse(inst, booking, d, b, relax=False), cfg))
             for d, b in zip(ds, bs)]

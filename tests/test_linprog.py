@@ -6,8 +6,8 @@ import scipy.sparse
 
 import supplyplan as sp
 from supplyplan import framework, linprog
-from supplyplan.cone import ConeRow
-from supplyplan.linprog import Status, _row_form, rows_to_csr, run_highs
+from supplyplan.linprog import (ConeRow, Status, _row_form, rows_to_csr,
+                               run_highs)
 
 import helpers
 
@@ -92,6 +92,20 @@ def test_validation_errors():
         with pytest.raises(ValueError, match="non-finite coefficient"):
             p.add_cone(cone)
     assert p.cones == []
+
+
+def test_add_obj_rejects_non_finite_and_undeclared(tight):
+    p = sp.LinearProblem()
+    p.add_var("x", obj=1.0)
+    for name, coeff, error in (("x", math.nan, "non-finite coefficient"),
+                               ("x", math.inf, "non-finite coefficient"),
+                               ("y", 1.0, "undeclared variable")):
+        with pytest.raises(ValueError, match=error):
+            p.add_obj(name, coeff)
+    assert p.obj == [1.0]
+    # a NaN buying cost used to give an OPTIMAL wait-and-see value of nan
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        sp.build_ws(tight, [90.0, 110.0], [math.nan, 9.0])
 
 
 def test_add_var_accepts_infinite_bounds_on_the_open_side(cfg):

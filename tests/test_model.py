@@ -82,9 +82,6 @@ def test_save_load_round_trip(tmp_path, tight):
 
 def test_lookups(tight):
     assert tight.dest_ids == ["d1", "d2"]
-    assert tight.destination("d1").g == 40.0
-    with pytest.raises(KeyError):
-        tight.destination("nope")
     assert {a.supplier for a in tight.arcs_to("d1")} == {"s1", "s2"}
     assert len(tight.arcs_from("s1")) == 2
     assert np.allclose(tight.b_bar_vector(), [7.0, 9.0])

@@ -52,8 +52,8 @@ def test_adjustable_below_static_ellipsoid(case, omega):
     corner, so its optimum is no larger."""
     inst, scens = case
     box = sp.estimate_box(scens)
-    ell = sp.solve_cone(sp.build_ro_ell(inst, box, omega))
-    adj = sp.solve_cone(sp.build_trsocp(inst, scens, omega))
+    ell = sp.solve_lp(sp.build_ro_ell(inst, box, omega))
+    adj = sp.solve_lp(sp.build_trsocp(inst, scens, omega))
     assert ell.optimal and adj.optimal
     assert adj.objective <= ell.objective + 1e-5 * abs(ell.objective)
 
@@ -67,7 +67,7 @@ def test_optimal_cone_solves_meet_the_tolerance(case, omega, cone_tol):
     box = sp.estimate_box(scens)
     for p in (sp.build_ro_ell(inst, box, omega),
               sp.build_trsocp(inst, scens, omega)):
-        sol = sp.solve_cone(p, cfg)
+        sol = sp.solve_lp(p, cfg)
         if sol.optimal:
             assert sol.cone_residual <= cfg.cone_tol
 
@@ -91,7 +91,7 @@ def _box_and_ellipsoid(case, omega):
     inst, scens = case
     box = sp.estimate_box(scens)
     box_sol = sp.solve_lp(sp.build_ro_box(inst, box))
-    ell_sol = sp.solve_cone(sp.build_ro_ell(inst, box, omega))
+    ell_sol = sp.solve_lp(sp.build_ro_ell(inst, box, omega))
     assert box_sol.optimal and ell_sol.optimal
     return box_sol.objective, ell_sol.objective
 
