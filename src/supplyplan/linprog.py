@@ -21,16 +21,28 @@ is lifted onto a slack ``0 <= s <= E_i x`` (one linear row). A cone with
 scale 0 or no terms has no term in ``T``, so it is never violated, as
 ``E_i x >= s >= 0``, and never cut.
 
-A cut is a weight vector ``w`` over a cone's terms, written as the row
-``s - scale * w . terms >= 0`` on the slack and the terms only, never on the
-wide affine part, so the LP stays sparse. Every ``w`` used has unit norm,
-so each cut is a gradient inequality of the norm, hence valid for the cone.
-The first LP carries the axis cuts ``w = +/-e_l`` and the uniform
-direction; each round then cuts every cone its point violates at
-``w = t/||t||``, ``t = T x``. A violated cone's cut separates the point, as
-``s <= E_i x < scale * ||t||``.
+The cone is cut in its extended, disaggregated form (Vielma, Dunning,
+Huchette and Lubin, Math. Prog. Comp. 9, 2017): each scaled term
+``tau_l = scale * t_l`` gets a column ``u_l >= 0``, each cone the row
+``s - sum_l u_l >= 0``, and ``||tau|| <= s`` becomes one three-variable
+rotated cone ``tau_l^2 <= s u_l``, that is ``||(2 tau_l, s - u_l)|| <=
+s + u_l``, per term. A cut is that norm's gradient inequality at a unit
+direction ``(a, b)``, ``(1 - b) s + (1 + b) u_l - 2 a tau_l >= 0``, written
+on the slack, ``u_l`` and the term only, never on the wide affine part, so
+the LP stays sparse. The first LP carries the axis cuts ``(a, b) =
+(+/-1, 0)`` and the uniform cut ``s - sum_l tau_l / sqrt(D) >= 0`` of the
+original cone; each round then measures every cone's violation at
+``t = T x`` against ``cone_tol`` and, in each violated cone, cuts every
+term whose triple lies off its rotated cone at ``(a, b) = (2 tau_l,
+s - u_l) / ||.||``, which separates that triple. Cutting the D small cones
+instead of the aggregated norm closes m4 in fewer rounds.
 
-The LP (problem rows, link rows, initial cuts) is assembled once. Each
+Where one epigraph ``w`` may be raised alone (no upper bound, a cost
+``c_w >= 0``, in no linear row, term or affine part), raising it by the
+largest violation lifts each round's LP point into every cone; the best such
+objective less the final LP bound is the solution's ``gap``, else ``inf``.
+
+The LP (problem rows, link and sum rows, initial cuts) is assembled once. Each
 round appends its cuts as one block of rows and re-solves HiGHS warm from
 the previous round's basis, the new rows basic.
 """
@@ -87,7 +99,7 @@ class Solution:
     status: Status
     objective: float
     values: dict[str, float] = field(default_factory=dict)
-    gap: float = 0.0             # MIP only
+    gap: float = 0.0             # MIP, or cone: lifted upper bound - LP bound
     cone_residual: float = 0.0   # cone problems only
     lp_rounds: int = 1           # HiGHS solves made: 1, or the cut rounds
     simplex_iters: int = 0       # over all those solves
@@ -242,56 +254,70 @@ def _cut_loop(p: LinearProblem, cfg: SolverConfig):
     sizes = np.array([len(ts) for ts in terms], dtype=int)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     owner = np.repeat(np.arange(k), sizes)     # term -> its cone
+    L = len(owner)
     scale = np.array([c.scale for c in p.cones])
     term_scale = sp.diags(scale[owner])
+    # raising one shared epigraph w raises every E_i x alone, at cost c_w v
+    j = p._index[p.cones[0].epigraph_var]
+    liftable = (cost[j] >= 0.0 and col_hi[j] == np.inf and j not in A.indices
+                and T[:, [j]].nnz == 0 and (E[:, [j]].toarray() == 1.0).all())
 
-    def cut_rows(W, cone):
-        """Row ``s_cone[i] - sum_l W[i, l] scale_l term_l >= 0`` per row of W."""
-        on_slack = sp.csr_matrix((np.ones(len(cone)), cone,
-                                  np.arange(len(cone) + 1)),
-                                 shape=(len(cone), k))
-        return sp.hstack([-(W @ term_scale) @ T, on_slack], format="csr")
+    def pick(values, cols, width):
+        """One entry ``values[r]`` in column ``cols[r]`` of each row r."""
+        return sp.csr_matrix((values, cols, np.arange(len(cols) + 1)),
+                             shape=(len(cols), width))
 
-    # axis cuts +/-e_l, then the uniform direction, which tightens the start
-    # when many terms are active at once
-    axis = sp.identity(len(owner), format="csr")
-    uniform = sp.csr_matrix((1.0 / np.sqrt(sizes[owner]),
-                             np.arange(len(owner)), bounds),
-                            shape=(k, len(owner)))
-    first = cut_rows(sp.vstack([axis, -axis, uniform]),
-                     np.concatenate([owner, owner, np.arange(k)]))
-    link = -sp.identity(k, format="csr")   # E x - s >= 0
-    A = sp.vstack([sp.hstack([A, sp.csr_matrix((A.shape[0], k))]),
-                   sp.hstack([E, link]), first], format="csr")
+    def cut_rows(W, S, U):
+        """Rows ``S s + U u - W tau >= 0``, ``tau = scale * T x``."""
+        return sp.hstack([-(W @ term_scale) @ T, S, U], format="csr")
+
+    def term_cuts(ls, a, b):
+        """``(1 - b) s + (1 + b) u_l - 2 a tau_l >= 0`` for each term l."""
+        return cut_rows(pick(2.0 * a, ls, L), pick(1.0 - b, owner[ls], k),
+                        pick(1.0 + b, ls, L))
+
+    member = sp.csr_matrix((np.ones(L), np.arange(L), bounds), shape=(k, L))
+    first = sp.vstack([
+        cut_rows(sp.csr_matrix((k, L)), sp.identity(k), -member),  # sum u <= s
+        term_cuts(np.tile(np.arange(L), 2), np.repeat([1.0, -1.0], L),
+                  np.zeros(2 * L)),                                 # axes
+        # the uniform direction tightens the start when many terms are active
+        cut_rows(member @ sp.diags(1.0 / np.sqrt(sizes[owner])),
+                 sp.identity(k), sp.csr_matrix((k, L)))])
+    link = sp.hstack([E, -sp.identity(k), sp.csr_matrix((k, L))])  # E x >= s
+    A = sp.vstack([sp.hstack([A, sp.csr_matrix((A.shape[0], k + L))]),
+                   link, first], format="csr")
     added = k + first.shape[0]
     lo = np.concatenate([lo, np.zeros(added)])
     hi = np.concatenate([hi, np.full(added, np.inf)])
-    cost = np.concatenate([cost, np.zeros(k)])
-    col_lo = np.concatenate([col_lo, np.zeros(k)])
-    col_hi = np.concatenate([col_hi, np.full(k, np.inf)])
+    cost = np.concatenate([cost, np.zeros(k + L)])
+    col_lo = np.concatenate([col_lo, np.zeros(k + L)])
+    col_hi = np.concatenate([col_hi, np.full(k + L, np.inf)])
 
     lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi)
-    rounds, iters = 1, lp.simplex_iters
+    rounds, iters, upper = 1, lp.simplex_iters, math.inf
     while lp.optimal:
-        x = x[:n]  # drops the slacks
-        t = T @ x
+        t = T @ x[:n]
         nrm = np.sqrt(np.bincount(owner, t * t, minlength=k))
-        rel = (scale * nrm - E @ x) / np.maximum(1.0, nrm)
+        excess = scale * nrm - E @ x[:n]
+        rel = excess / np.maximum(1.0, nrm)
+        if liftable:
+            upper = min(upper, lp.objective + cost[j] * max(0.0, excess.max()))
         # the origin is covered by the axis cuts
         violated = (rel > cfg.cone_tol) & (nrm > 0.0)
-        cut = np.flatnonzero(violated)
-        if not cut.size or rounds > cfg.max_cut_rounds:
-            status = Status.CUT_LIMIT if cut.size else Status.OPTIMAL
-            return replace(lp, status=status,
+        tau, s, u = scale[owner] * t, x[n:n + k][owner], x[n + k:]
+        r = np.hypot(2.0 * tau, s - u)   # > s + u off the rotated cone
+        ls = np.flatnonzero(violated[owner] & (r > s + u))
+        # a violated cone whose triples all lie on their cones has no cut
+        if not ls.size or rounds > cfg.max_cut_rounds:
+            status = Status.CUT_LIMIT if violated.any() else Status.OPTIMAL
+            return replace(lp, status=status, gap=upper - lp.objective,
                            cone_residual=float(rel.max(initial=0.0)),
-                           lp_rounds=rounds, simplex_iters=iters), x
-        on_cut = np.flatnonzero(violated[owner])   # their terms
-        W = sp.csr_matrix((t[on_cut] / nrm[owner[on_cut]], on_cut,
-                           np.concatenate([[0], np.cumsum(sizes[cut])])),
-                          shape=(cut.size, len(owner)))
-        A = sp.vstack([A, cut_rows(W, cut)], format="csr")
-        lo = np.concatenate([lo, np.zeros(cut.size)])
-        hi = np.concatenate([hi, np.full(cut.size, np.inf)])
+                           lp_rounds=rounds, simplex_iters=iters), x[:n]
+        A = sp.vstack([A, term_cuts(ls, 2.0 * tau[ls] / r[ls],
+                                    (s - u)[ls] / r[ls])], format="csr")
+        lo = np.concatenate([lo, np.zeros(ls.size)])
+        hi = np.concatenate([hi, np.full(ls.size, np.inf)])
         lp, x, basis = run_highs(cost, A, lo, hi, col_lo, col_hi, basis)
         rounds += 1
         iters += lp.simplex_iters

@@ -109,11 +109,8 @@ def test_values_hold_the_problem_variables_only(cfg):
     assert list(sol.values) == p.var_names
 
 
-def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
-    """Every cut is written on its cone's slack, so the LP has at most half
-    the nonzeros it would have with the affine part copied into each cut."""
-    inst = sp.gen_instance(6, 4, seed=12)
-    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 6, seed=13), 2.75)
+def _lp_matrices(p, cfg, monkeypatch):
+    """Solve ``p``, optimal, and return the LP matrix of each round."""
     matrices, run_highs = [], linprog.run_highs
 
     def recording(c, A, *args):
@@ -121,6 +118,16 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
         return run_highs(c, A, *args)
     monkeypatch.setattr(linprog, "run_highs", recording)
     assert sp.solve_lp(p, cfg).optimal
+    return matrices
+
+
+def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
+    """Every cut is written on its cone's slack, the u columns of its
+    rotated-cone triples and its terms, so the LP has at most half the
+    nonzeros it would have with the affine part copied into each cut."""
+    inst = sp.gen_instance(6, 4, seed=12)
+    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 6, seed=13), 2.75)
+    matrices = _lp_matrices(p, cfg, monkeypatch)
 
     live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
     assert len(live) == 6
@@ -134,7 +141,7 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
         unlifted += len(base.union(*c.cone_terms))
     first, final = matrices[0], matrices[-1]
     assert first.nnz <= 0.5 * unlifted
-    # a later cut touches the slack and the term variables only
+    # a later cut touches the slack, one u column and one term's variables
     widest = 1 + max(len({n for t in c.cone_terms for n in t}) for c in live)
     assert final.nnz <= first.nnz + widest * (final.shape[0] - first.shape[0])
 
@@ -161,6 +168,76 @@ def test_solve_lp_reaches_the_cone_optimum_of_m3_and_m4(cfg):
         assert sol.objective == pytest.approx(optimum, rel=1e-9)
         assert sol.cone_residual <= cfg.cone_tol
         assert _worst_violation(p, sol.values) <= 1e-6 * abs(optimum)
+
+
+@pytest.mark.parametrize("point, omega", [([3.0, -4.0], 2.0),
+                                          ([1.0, 2.0, -2.0, 4.0, 0.5], 1.0),
+                                          ([3.0, 4.0, 5.0], 1.0),
+                                          ([1.5, -2.5, 0.5], 0.5)])
+def test_every_written_row_holds_on_the_cone(cfg, monkeypatch, point, omega):
+    """The link, sum and cut rows hold at points on the cone, lifted with
+    s = omega ||x|| and u_l = (omega x_l)^2 / s: the cuts never cut into
+    the cone. The columns are the problem's, the slack s, then u."""
+    p = _norm_problem(point, omega)
+    A = _lp_matrices(p, cfg, monkeypatch)[-1]
+    rng = np.random.default_rng(11)
+    for x in [np.array(point), *rng.normal(0.0, 50.0, (20, len(point)))]:
+        tau = omega * x
+        s = float(np.linalg.norm(tau))
+        z = np.concatenate([[s], x, [s], tau * tau / s])   # w on the cone
+        assert A.shape[1] == z.size
+        assert (A[len(p.rows):] @ z).min() >= -1e-9
+
+
+def test_m4_closes_in_few_rounds(cfg):
+    """m4 on the acceptance instance at tau = 47 takes 20 rounds with cuts
+    on the aggregated norm; per-term rotated-cone cuts take 11."""
+    inst = sp.gen_instance(24, 15, seed=42)
+    scens = sp.gen_scenarios(inst, 48, seed=43).head(47)
+    sol = sp.solve_lp(sp.build_trsocp(inst, scens, 2.75), cfg)
+    assert sol.optimal and sol.lp_rounds <= 12
+    assert 0.0 < sol.gap <= cfg.cone_tol * abs(sol.objective)
+
+
+def test_cone_solves_report_their_gap(cfg):
+    """m3 and m4 lift the LP point onto their cones by raising w: the best
+    lifted objective less the LP bound is within the cone tolerance."""
+    inst = sp.gen_instance(6, 4, seed=12)
+    scens = sp.gen_scenarios(inst, 16, seed=13)
+    for p in (sp.build_ro_ell(inst, sp.estimate_box(scens), 2.75),
+              sp.build_trsocp(inst, scens, 2.75)):
+        sol = sp.solve_lp(p, cfg)
+        assert sol.optimal
+        assert 0.0 <= sol.gap <= cfg.cone_tol * abs(sol.objective)
+
+
+def test_gap_keeps_the_best_lifted_point():
+    """The lifted bound rises in this m4's third round, so each solve keeps
+    the best one: objective + gap never rises as the round budget grows."""
+    inst = sp.gen_instance(8, 6, seed=1)
+    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 16, seed=2), 2.75)
+    upper = [sol.objective + sol.gap for sol in
+             (sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=cap))
+              for cap in range(4))]
+    for before, after in zip(upper, upper[1:]):
+        assert after <= before * (1.0 + 1e-12)
+
+
+def test_gap_lifts_the_epigraph_or_is_inf(cfg):
+    # the initial cuts give w = 7 / sqrt(2); raising w to ||(3, 4)|| = 5
+    # lifts the point onto the cone
+    capped = sp.solve_lp(_norm_problem([3.0, 4.0], omega=1.0),
+                         sp.SolverConfig(max_cut_rounds=0))
+    assert capped.gap == pytest.approx(5.0 - 7.0 / math.sqrt(2.0), rel=1e-9)
+    bounded = _norm_problem([3.0, 4.0], omega=1.0)
+    bounded.ub[0] = 100.0                      # w <= 100
+    in_a_row = _norm_problem([3.0, 4.0], omega=1.0)
+    in_a_row.add_row({"w": 1.0, "x0": -1.0}, ">=", 0.0)
+    shifted = _norm_problem([3.0, 4.0], omega=1.0)
+    shifted.cones[0].affine_part = {"w": 0.5}  # raising w raises E x by half
+    for p in (bounded, in_a_row, shifted):
+        sol = sp.solve_lp(p, cfg)
+        assert sol.optimal and sol.gap == math.inf
 
 
 def test_multiple_cones_take_the_max(cfg):
