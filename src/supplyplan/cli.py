@@ -71,7 +71,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sbar", type=int, help="first prefix length (default S/2)")
     p.add_argument("--omega", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sigma-band", action="store_true",
                    help="cost box deviations from the sigma band instead of "
                         "the prefix estimate")
@@ -197,8 +196,7 @@ def cmd_compare(args) -> int:
 
     report = run_comparison(inst, scens, sbar, methods=methods, omega=omega,
                             relax=args.relax, seed=args.seed, sigma=args.sigma,
-                            cost_dev_from_sigma=args.sigma_band,
-                            jobs=args.jobs)
+                            cost_dev_from_sigma=args.sigma_band)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv())

@@ -9,7 +9,6 @@ the column aggregate.
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import math
 import time
@@ -113,7 +112,7 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     if not np.isfinite(draws).all():
         raise ValueError("a draw has a non-finite demand or cost")
     if isinstance(booking, FirstStage) and booking.hull is not None:
-        yield from (_price_m5(inst, booking, d, b) for d, b in zip(ds, bs))
+        yield from (_price_m5(inst, booking, d, b) for d, b in draws)
         return
     if len(ds) == 0:
         return
@@ -158,50 +157,14 @@ def _price_m5(inst, fs, d, b) -> float:
     return booking_cost(inst, fs.x) + recourse_cost(inst, fs.x, y, z, b)
 
 
-def _compare_tau(inst, scens, tau, methods, omega, relax, cfg,
-                 cost_dev_from_sigma, sigma):
-    """All cells of one report row. Returns (tau, cells, times, first_stages)."""
-    prefix = scens.head(tau)
-    box = estimate_box(prefix)
-    if cost_dev_from_sigma:
-        box.b_dev = cost_band(box.b_nominal, sigma)[1] - box.b_nominal
-    d_next = scens.demands[tau]
-    b_next = scens.costs[tau]
-
-    cells, times, stages = {}, {}, {}
-    solved = {}  # model -> (solution, booking); m5 books by m4's trSOCP
-    for m in methods:
-        t0 = time.perf_counter()
-        model = "m4" if m == "m5" else m
-        if model not in solved:
-            sol = solve_method(inst, model, prefix, box, omega, relax, cfg)
-            solved[model] = (sol, extract_first_stage(inst, sol)
-                             if sol.optimal else None)
-        sol, fs = solved[model]
-        if fs is None:
-            cells[m] = math.inf
-            times[m] = time.perf_counter() - t0
-            continue
-        if m == "m5":
-            fs = replace(fs, hull=(prefix.demands, sol))
-        stages[m] = fs
-        cells[m] = evaluate_recourse(inst, fs, d_next, b_next, relax, cfg)
-        times[m] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ws_sol = solve_lp(build_ws(inst, d_next, b_next, relax), cfg)
-    cells["ws"] = _objective_or_inf(ws_sol)
-    times["ws"] = time.perf_counter() - t0
-    return tau, cells, times, stages
-
-
 def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
                    methods=None, omega: float = 2.75, relax: bool = True,
                    seed: int = 0, sigma: float = 0.2,
                    cost_dev_from_sigma: bool = False,
-                   cfg: SolverConfig | None = None,
-                   jobs: int = 1) -> ComparisonReport:
-    """Run the full tau sweep, tau in {sbar, ..., S-1}.
+                   cfg: SolverConfig | None = None) -> ComparisonReport:
+    """Run the full tau sweep, tau in {sbar, ..., S-1}, one row after another
+    in the calling process: each row books with ``methods`` in the given
+    order (m5 by the row's m4 solve), then solves wait-and-see.
 
     Cost realizations are sampled around the instance's average buying costs
     (seeded) when the scenario set carries none. ``cost_dev_from_sigma``
@@ -210,8 +173,6 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
     """
     if not 1 <= sbar < scens.S:
         raise ValueError("need 1 <= sbar < S")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     methods = list(methods) if methods is not None else list(METHOD_COLUMNS)
     for m in methods:
         if m not in METHOD_COLUMNS:
@@ -221,22 +182,38 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
         costs = sample_costs(inst.b_bar_vector(), sigma, scens.S, seed)
         scens = scens.with_costs(costs)
 
-    taus = list(range(sbar, scens.S))
-    report = ComparisonReport(taus=taus, methods=methods)
-    args = [(inst, scens, tau, methods, omega, relax, cfg,
-             cost_dev_from_sigma, sigma) for tau in taus]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_compare_tau, *zip(*args)))
-    else:
-        results = [_compare_tau(*a) for a in args]
-    for tau, cells, times, stages in sorted(results):  # ordered merge by tau
-        for col, v in cells.items():
-            report.cells[(col, tau)] = v
-        for col, v in times.items():
-            report.times[(col, tau)] = v
-        for col, fs in stages.items():
-            report.first_stages[(col, tau)] = fs
+    report = ComparisonReport(taus=list(range(sbar, scens.S)), methods=methods)
+    cells, times, stages = report.cells, report.times, report.first_stages
+    for tau in report.taus:
+        prefix = scens.head(tau)
+        box = estimate_box(prefix)
+        if cost_dev_from_sigma:
+            box.b_dev = cost_band(box.b_nominal, sigma)[1] - box.b_nominal
+        d_next = scens.demands[tau]
+        b_next = scens.costs[tau]
+        solved = {}  # model -> (solution, booking); m5 books by m4's trSOCP
+        for m in methods:
+            t0 = time.perf_counter()
+            model = "m4" if m == "m5" else m
+            if model not in solved:
+                sol = solve_method(inst, model, prefix, box, omega, relax, cfg)
+                solved[model] = (sol, extract_first_stage(inst, sol)
+                                 if sol.optimal else None)
+            sol, fs = solved[model]
+            if fs is None:
+                cells[(m, tau)] = math.inf
+            else:
+                if m == "m5":
+                    fs = replace(fs, hull=(prefix.demands, sol))
+                stages[(m, tau)] = fs
+                cells[(m, tau)] = evaluate_recourse(inst, fs, d_next, b_next,
+                                                    relax, cfg)
+            times[(m, tau)] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        ws_sol = solve_lp(build_ws(inst, d_next, b_next, relax), cfg)
+        cells[("ws", tau)] = _objective_or_inf(ws_sol)
+        times[("ws", tau)] = time.perf_counter() - t0
     return report
 
 

@@ -99,7 +99,7 @@ class Solution:
     status: Status
     objective: float
     values: dict[str, float] = field(default_factory=dict)
-    gap: float = 0.0             # MIP, or cone: lifted upper bound - LP bound
+    gap: float = 0.0             # MIP/cone upper - LP bound; inf if unsolved
     cone_residual: float = 0.0   # cone problems only
     lp_rounds: int = 1           # HiGHS solves made: 1, or the cut rounds
     simplex_iters: int = 0       # over all those solves
@@ -399,8 +399,7 @@ def run_highs(c, A: sp.csr_matrix, lo, hi, col_lo, col_hi, basis=None,
     if (status not in (Status.OPTIMAL, Status.NODE_LIMIT)
             or int(info.primal_solution_status) != _FEASIBLE):
         objective = -math.inf if status is Status.UNBOUNDED else math.inf
-        gap = math.inf if status is Status.NODE_LIMIT else 0.0
-        sol = Solution(status, objective, gap=gap, simplex_iters=iters)
+        sol = Solution(status, objective, gap=math.inf, simplex_iters=iters)
         return sol, None, None
     objective = info.objective_function_value
     gap = objective - info.mip_dual_bound if mip else 0.0

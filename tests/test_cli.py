@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import supplyplan as sp
-from supplyplan import framework
+from supplyplan import framework, linprog
 from supplyplan.cli import main
 
 import helpers
@@ -68,6 +68,16 @@ def test_solver_failure_exits_four(data_dir, tmp_path, monkeypatch, capsys):
     rc = main(["solve", "--model", "sp"] + _common(data_dir, tmp_path))
     assert rc == 4
     assert "error: LP backend failure: injected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [["sp"], ["trsocp", "--omega", "2.75"]])
+def test_iteration_limit_exits_three(data_dir, tmp_path, monkeypatch, model):
+    monkeypatch.setattr(linprog, "_MAX_SIMPLEX_ITERS", 1)
+    rc = main(["solve", "--model", *model] + _common(data_dir, tmp_path))
+    assert rc == 3
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    assert doc["status"] == "iter_limit"
+    assert doc["objective"] is None
 
 
 def test_solve_cone_models(data_dir, tmp_path):
@@ -153,14 +163,6 @@ def test_compare_unknown_method(data_dir, tmp_path):
 def test_compare_bad_sbar(data_dir, tmp_path):
     rc = main(["compare", "--sbar", "0"] + _common(data_dir, tmp_path))
     assert rc == 1
-
-
-def test_compare_jobs_below_one(data_dir, tmp_path, capsys):
-    for jobs in ("0", "-3"):
-        rc = main(["compare", "--methods", "m1", "--jobs", jobs]
-                  + _common(data_dir, tmp_path))
-        assert rc == 1
-        assert "error: jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_compare_deterministic(data_dir, tmp_path):

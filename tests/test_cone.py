@@ -56,7 +56,7 @@ def test_infeasible_at_the_first_round(cfg):
     p.add_row({"x0": 1.0}, "<=", 2.0)  # contradicts x0 == 3
     sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.INFEASIBLE
-    assert sol.objective == math.inf
+    assert sol.objective == math.inf and sol.gap == math.inf
     assert sol.lp_rounds == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,10 +67,13 @@ def test_comparison_is_deterministic(tight, tight_scens, small_report):
     assert again.to_csv() == small_report.to_csv()
 
 
-def test_jobs_parallel_matches_serial(tight, tight_scens, small_report):
-    par = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75, seed=0,
-                            jobs=2)
-    assert par.cells == small_report.cells
+def test_row_times_account_for_the_comparison(tight, tight_scens):
+    # rows run one after another in this process, so the timed cells are
+    # disjoint intervals inside the call
+    t0 = time.perf_counter()
+    rep = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75, seed=0)
+    wall = time.perf_counter() - t0
+    assert 0.5 * wall <= sum(rep.times.values()) <= wall
 
 
 def test_samples_costs_when_missing(tight, tight_scens):
@@ -88,9 +92,6 @@ def test_run_comparison_validation(tight, tight_scens):
         sp.run_comparison(tight, tight_scens, sbar=tight_scens.S)
     with pytest.raises(ValueError):
         sp.run_comparison(tight, tight_scens, sbar=4, methods=["m9"])
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="jobs"):
-            sp.run_comparison(tight, tight_scens, sbar=4, jobs=jobs)
 
 
 def test_m5_finite_iff_projection_inside_hull(tight, tight_scens, small_report):
@@ -100,6 +101,29 @@ def test_m5_finite_iff_projection_inside_hull(tight, tight_scens, small_report):
         lam, phi = sp.project_simplex_lsq(d_next, list(prefix.demands))
         inside = phi <= sp.PHI_ZERO_TOL * (float(d_next @ d_next) + 1.0)
         assert math.isfinite(small_report.cost("m5", tau)) == inside
+
+
+def test_m5_prices_destination_maps_like_vectors():
+    inst = sp.gen_instance(6, 2, seed=0)
+    scens = sp.gen_scenarios(inst, 30, seed=1)
+    rep = sp.run_comparison(inst, scens, sbar=28, methods=["m4", "m5"])
+    b = scens.costs[29]
+    inside = scens.demands[:3].mean(axis=0)
+    outside = 1.5 * scens.demands.max(axis=0)
+
+    def as_map(v):
+        return dict(zip(inst.dest_ids, v))
+
+    for m in ("m4", "m5"):
+        fs = rep.first_stages[(m, 28)]
+        for d in (inside, outside):
+            assert (sp.evaluate_recourse(inst, fs, as_map(d), as_map(b))
+                    == sp.evaluate_recourse(inst, fs, d, b))
+    m5 = rep.first_stages[("m5", 28)]
+    assert math.isfinite(sp.evaluate_recourse(inst, m5, as_map(inside),
+                                              as_map(b)))
+    assert sp.evaluate_recourse(inst, m5, as_map(outside), as_map(b)) == \
+        math.inf
 
 
 def test_compute_evpi():

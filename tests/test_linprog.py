@@ -56,7 +56,9 @@ def test_infeasible(cfg):
     p = sp.LinearProblem()
     p.add_var("x", ub=1.0)
     p.add_row({"x": 1.0}, ">=", 2.0)
-    assert sp.solve_lp(p, cfg).status is Status.INFEASIBLE
+    sol = sp.solve_lp(p, cfg)
+    assert sol.status is Status.INFEASIBLE
+    assert sol.gap == math.inf
 
 
 def test_unbounded(cfg):
@@ -65,6 +67,19 @@ def test_unbounded(cfg):
     sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.UNBOUNDED
     assert sol.objective == -math.inf
+    assert sol.gap == math.inf
+
+
+def test_iteration_limit_ends_without_a_solution(monkeypatch, cfg):
+    monkeypatch.setattr(linprog, "_MAX_SIMPLEX_ITERS", 1)
+    inst = sp.gen_instance(6, 4, seed=12)
+    scens = sp.gen_scenarios(inst, 16, seed=13)
+    for p in (sp.build_sp(inst, scens),
+              sp.build_ro_ell(inst, sp.estimate_box(scens), 2.75)):
+        sol = sp.solve_lp(p, cfg)
+        assert sol.status is Status.ITER_LIMIT
+        assert sol.objective == math.inf and sol.gap == math.inf
+        assert not sol.values
 
 
 def test_validation_errors():
