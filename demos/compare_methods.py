@@ -14,7 +14,7 @@ import supplyplan as sp
 inst = sp.gen_instance(n_suppliers=6, n_destinations=4, seed=12)
 scens = sp.gen_scenarios(inst, n_scenarios=16, seed=13)
 
-report = sp.run_comparison(inst, scens, sbar=8, omega=2.75, seed=0)
+report = sp.run_comparison(inst, scens, sbar=8, omega=2.75)
 
 print(report.to_csv())
 

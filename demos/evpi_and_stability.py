@@ -24,5 +24,5 @@ print(f"EVPI (price of blindness):{evpi:12.2f}")
 
 print("\nin-sample stability (same seed, growing sample):")
 curve = sp.in_sample_stability(inst, scens, [10, 25, 50, 100, 200], seed=3)
-for n, val in curve.entries:
+for n, val in curve:
     print(f"  {n:4d} scenarios -> {val:12.2f}")

@@ -12,9 +12,9 @@ from .formulations import (PHI_ZERO_TOL, FirstStage, PhiPositive,
                            build_sp, build_trsocp, build_ws,
                            extract_first_stage, recover_adjustable_m5)
 from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
-                        StabilityCurve, compute_evpi, evaluate_recourse,
-                        in_sample_stability, monte_carlo_validation,
-                        price_draws, run_comparison, stress_worst_case)
+                        compute_evpi, evaluate_recourse, in_sample_stability,
+                        monte_carlo_validation, price_draws, run_comparison,
+                        stress_worst_case)
 from .generate import gen_instance, gen_scenarios
 from .linprog import (ConeRow, LinearProblem, Solution, SolverConfig, Status,
                       solve_lp)
@@ -32,8 +32,8 @@ __all__ = [
     "Arc", "ALL_COLUMNS", "BoxParams", "ComparisonReport", "ConeRow",
     "Destination", "FirstStage", "Instance",
     "LinearProblem", "METHOD_COLUMNS", "PHI_ZERO_TOL",
-    "PhiPositive", "ScenarioSet", "Solution", "SolverConfig", "StabilityCurve",
-    "Status", "Stream", "Supplier", "booking_cost", "build_recourse",
+    "PhiPositive", "ScenarioSet", "Solution", "SolverConfig", "Status",
+    "Stream", "Supplier", "booking_cost", "build_recourse",
     "build_ro_box", "build_ro_ell", "build_sp", "build_trsocp", "build_ws",
     "compute_evpi", "demand_gamma", "estimate_box", "evaluate_recourse",
     "extract_first_stage", "gen_instance", "gen_scenarios",

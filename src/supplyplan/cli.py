@@ -187,15 +187,12 @@ def cmd_compare(args) -> int:
     inst, scens = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [m for m in methods if m != "ws"]
-    if scens.S < 2:
-        print("error: compare needs at least 2 scenarios", file=sys.stderr)
-        return EXIT_CONFIG
     sbar = args.sbar if args.sbar is not None else scens.S // 2
     need_omega = any(m in methods for m in ("m3", "m4", "m5"))
     omega = _resolve_omega(args, required=False) if need_omega else 2.75
 
     report = run_comparison(inst, scens, sbar, methods=methods, omega=omega,
-                            relax=args.relax, seed=args.seed, sigma=args.sigma,
+                            relax=args.relax, sigma=args.sigma,
                             cost_dev_from_sigma=args.sigma_band)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,9 +209,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.suppliers < 1 or args.destinations < 1 or args.scenarios < 1:
-        print("error: sizes must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     inst = gen_instance(args.suppliers, args.destinations, args.seed)
     scens = gen_scenarios(inst, args.scenarios, args.seed + 1)
     out_dir = Path(args.out)
@@ -234,12 +228,12 @@ def cmd_stability(args) -> int:
         print("error: --s-list must be a comma list of integers",
               file=sys.stderr)
         return EXIT_CONFIG
-    curve = in_sample_stability(inst, scens, s_list, args.seed, args.sigma)
+    entries = in_sample_stability(inst, scens, s_list, args.seed, args.sigma)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "stability.csv", "w", encoding="utf-8") as fh:
         fh.write("s,objective\n")
-        for s, v in curve.entries:
+        for s, v in entries:
             fh.write(f"{s},{v:.6f}\n")
     print(f"stability curve written to {out_dir / 'stability.csv'}")
     return EXIT_OK
@@ -260,8 +254,7 @@ def cmd_montecarlo(args) -> int:
         print(f"monte carlo results written to {path}")
         return EXIT_OK
     report = run_comparison(inst, scens, sbar, methods=methods,
-                            omega=args.omega, seed=args.seed,
-                            sigma=args.sigma)
+                            omega=args.omega)
     first_stages = {}
     for m in methods:
         per_tau = {tau: fs for (col, tau), fs in report.first_stages.items()
@@ -314,7 +307,3 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,7 +25,7 @@ from .model import (Instance, _as_demand, booking_cost, recourse_cost,
                     y_name)
 from .projection import project_simplex_lsq
 from .rng import Stream
-from .uncertainty import ScenarioSet, cost_band, estimate_box, sample_costs
+from .uncertainty import ScenarioSet, cost_band, estimate_box
 
 METHOD_COLUMNS = ["m1", "m2", "m3", "m4", "m5"]
 ALL_COLUMNS = METHOD_COLUMNS + ["ws"]
@@ -58,17 +58,6 @@ class ComparisonReport:
                 for c in ALL_COLUMNS]
         out.write("aggregate," + ",".join(aggs) + "\n")
         return out.getvalue()
-
-
-@dataclass
-class StabilityCurve:
-    entries: list[tuple[int, float]]   # (scenario count, SP optimum)
-    seed: int
-
-    def __post_init__(self):
-        sizes = [s for s, _ in self.entries]
-        if sizes != sorted(set(sizes)):
-            raise ValueError("scenario counts must be strictly increasing")
 
 
 def _objective_or_inf(sol) -> float:
@@ -159,17 +148,15 @@ def _price_m5(inst, fs, d, b) -> float:
 
 def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
                    methods=None, omega: float = 2.75, relax: bool = True,
-                   seed: int = 0, sigma: float = 0.2,
+                   sigma: float = 0.2,
                    cost_dev_from_sigma: bool = False,
                    cfg: SolverConfig | None = None) -> ComparisonReport:
     """Run the full tau sweep, tau in {sbar, ..., S-1}, one row after another
     in the calling process: each row books with ``methods`` in the given
     order (m5 by the row's m4 solve), then solves wait-and-see.
 
-    Cost realizations are sampled around the instance's average buying costs
-    (seeded) when the scenario set carries none. ``cost_dev_from_sigma``
-    switches the box cost deviations from the prefix estimate to the
-    sigma band around the nominal cost.
+    ``cost_dev_from_sigma`` switches the box cost deviations from the
+    prefix estimate to the sigma band around the nominal cost.
     """
     if not 1 <= sbar < scens.S:
         raise ValueError("need 1 <= sbar < S")
@@ -178,9 +165,6 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
         if m not in METHOD_COLUMNS:
             raise ValueError(f"unknown method {m!r}")
     cfg = cfg or SolverConfig()
-    if scens.costs is None:
-        costs = sample_costs(inst.b_bar_vector(), sigma, scens.S, seed)
-        scens = scens.with_costs(costs)
 
     report = ComparisonReport(taus=list(range(sbar, scens.S)), methods=methods)
     cells, times, stages = report.cells, report.times, report.first_stages
@@ -238,8 +222,9 @@ def compute_evpi(sp_value: float, ws_values, probs=None) -> float:
 
 def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
                         seed: int, sigma: float = 0.2,
-                        cfg: SolverConfig | None = None) -> StabilityCurve:
-    """SP optimum for increasing sampled scenario counts.
+                        cfg: SolverConfig | None = None):
+    """SP optimum for increasing sampled scenario counts, as a list of
+    ``(count, optimum)`` pairs.
 
     Demands are uniform in the per-destination [min, max] range of the
     historical scenarios; costs uniform in the sigma band around the
@@ -270,7 +255,7 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
         sub = ScenarioSet(demands[:n], costs[:n], dest_ids=scens.dest_ids)
         sol = solve_lp(build_sp(inst, sub, relax=True), cfg)
         entries.append((n, _objective_or_inf(sol)))
-    return StabilityCurve(entries=entries, seed=seed)
+    return entries
 
 
 def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,

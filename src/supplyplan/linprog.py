@@ -330,10 +330,8 @@ def _cut_loop(p: LinearProblem, cfg: SolverConfig):
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: Status.OPTIMAL,
     _highs.HighsModelStatus.kIterationLimit: Status.ITER_LIMIT,
-    _highs.HighsModelStatus.kTimeLimit: Status.ITER_LIMIT,
     _highs.HighsModelStatus.kSolutionLimit: Status.NODE_LIMIT,
     _highs.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
-    _highs.HighsModelStatus.kModelError: Status.INFEASIBLE,
     _highs.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
 }
 _FEASIBLE = int(_highs.SolutionStatus.kSolutionStatusFeasible)

@@ -164,7 +164,7 @@ def test_criterion_4_omega_structure(criterion, synthetic, synthetic_trsocp, cfg
 def full_report(synthetic):
     inst, scens = synthetic
     t0 = time.perf_counter()
-    report = sp.run_comparison(inst, scens, sbar=24, omega=2.75, seed=0)
+    report = sp.run_comparison(inst, scens, sbar=24, omega=2.75)
     return report, time.perf_counter() - t0
 
 

@@ -1,11 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import supplyplan as sp
-from supplyplan import framework, linprog
+from supplyplan import cli, framework, linprog
 from supplyplan.cli import main
 
 import helpers
@@ -39,6 +43,24 @@ def test_gen_writes_files(tmp_path):
     assert scens.S == 5 and scens.D == 2
 
 
+@pytest.mark.parametrize("size", ["--suppliers", "--scenarios"])
+def test_gen_zero_size_is_config_error(tmp_path, capsys, size):
+    rc = main(["gen", size, "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: need at least one" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "supplyplan", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage: supplyplan" in done.stdout
+
+
 def test_gen_is_seeded(tmp_path):
     main(["gen", "--seed", "5", "--suppliers", "2", "--destinations", "2",
           "--scenarios", "3", "--out", str(tmp_path / "a")])
@@ -68,6 +90,22 @@ def test_solver_failure_exits_four(data_dir, tmp_path, monkeypatch, capsys):
     rc = main(["solve", "--model", "sp"] + _common(data_dir, tmp_path))
     assert rc == 4
     assert "error: LP backend failure: injected" in capsys.readouterr().err
+
+
+def test_highs_model_error_is_a_backend_failure(data_dir, tmp_path,
+                                               monkeypatch, capsys):
+    class ModelError(linprog._highs._Highs):
+        def getModelStatus(self):
+            return linprog._highs.HighsModelStatus.kModelError
+
+    monkeypatch.setattr(linprog._highs, "_Highs", ModelError)
+    p = sp.LinearProblem()
+    p.add_var("x", obj=1.0)
+    with pytest.raises(RuntimeError, match="HiGHS backend failure: Model"):
+        sp.solve_lp(p)
+    rc = main(["solve", "--model", "sp"] + _common(data_dir, tmp_path))
+    assert rc == 4
+    assert "error: HiGHS backend failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", [["sp"], ["trsocp", "--omega", "2.75"]])
@@ -171,6 +209,34 @@ def test_compare_deterministic(data_dir, tmp_path):
     assert main(argv + _common(data_dir, a)) == 0
     assert main(argv + _common(data_dir, b)) == 0
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+def test_compare_samples_missing_costs_from_seed(data_dir, tmp_path):
+    argv = ["compare", "--sbar", "6", "--methods", "m1",
+            "--instance", str(data_dir / "instance.json"),
+            "--demand-csv", str(data_dir / "demand.csv")]
+    for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+        assert main(argv + ["--seed", seed,
+                            "--out", str(tmp_path / name)]) == 0
+    a, b, c = ((tmp_path / name / "report.csv").read_bytes()
+               for name in "abc")
+    assert a == b
+    assert a != c
+
+
+def test_compare_one_scenario_is_config_error(data_dir, tmp_path, capsys):
+    inst = sp.Instance.load(data_dir / "instance.json")
+    one = sp.load_scenarios(data_dir / "demand.csv", data_dir / "cost.csv",
+                            dest_ids=inst.dest_ids).head(1)
+    sp.save_scenarios(tmp_path / "demand.csv", inst.dest_ids, one.demands)
+    sp.save_scenarios(tmp_path / "cost.csv", inst.dest_ids, one.costs)
+    rc = main(["compare", "--instance", str(data_dir / "instance.json"),
+               "--demand-csv", str(tmp_path / "demand.csv"),
+               "--cost-csv", str(tmp_path / "cost.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: need 1 <= sbar < S" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stability_csv(data_dir, tmp_path):
@@ -291,6 +357,29 @@ def test_evpi_prints_value(data_dir, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(out) >= -1e-6
+
+
+def test_evpi_sp_not_optimal_exits_three(data_dir, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.setattr(linprog, "_MAX_SIMPLEX_ITERS", 1)
+    assert main(["evpi"] + _common(data_dir, tmp_path)) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_evpi_ws_not_optimal_exits_three(data_dir, tmp_path, monkeypatch,
+                                         capsys):
+    solves = []
+
+    def sp_then_limit(p, cfg=None):   # the SP solves, the first ws does not
+        solves.append(p)
+        if len(solves) == 1:
+            return sp.solve_lp(p, cfg)
+        return sp.Solution(sp.Status.ITER_LIMIT, math.inf)
+
+    monkeypatch.setattr(cli, "solve_lp", sp_then_limit)
+    assert main(["evpi"] + _common(data_dir, tmp_path)) == 3
+    assert len(solves) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.fixture(scope="module")

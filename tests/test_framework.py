@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import supplyplan as sp
-from supplyplan import framework
+from supplyplan import framework, linprog
 from supplyplan.linprog import ConeRow
 
 import helpers
@@ -13,7 +13,7 @@ import helpers
 
 @pytest.fixture(scope="module")
 def small_report(tight, tight_scens):
-    return sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75, seed=0)
+    return sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75)
 
 
 def test_report_shape(small_report, tight_scens):
@@ -62,7 +62,7 @@ def test_csv_leaves_unrequested_methods_empty(tight, tight_scens):
 
 
 def test_comparison_is_deterministic(tight, tight_scens, small_report):
-    again = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75, seed=0)
+    again = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75)
     assert again.cells == small_report.cells
     assert again.to_csv() == small_report.to_csv()
 
@@ -71,18 +71,32 @@ def test_row_times_account_for_the_comparison(tight, tight_scens):
     # rows run one after another in this process, so the timed cells are
     # disjoint intervals inside the call
     t0 = time.perf_counter()
-    rep = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75, seed=0)
+    rep = sp.run_comparison(tight, tight_scens, sbar=4, omega=2.75)
     wall = time.perf_counter() - t0
     assert 0.5 * wall <= sum(rep.times.values()) <= wall
 
 
-def test_samples_costs_when_missing(tight, tight_scens):
+def test_comparison_needs_cost_realizations(tight, tight_scens):
+    # the command line fills missing costs (test_cli); the library does not
     bare = sp.ScenarioSet(tight_scens.demands, dest_ids=tight_scens.dest_ids)
-    a = sp.run_comparison(tight, bare, sbar=6, methods=["m1"], seed=3)
-    b = sp.run_comparison(tight, bare, sbar=6, methods=["m1"], seed=3)
-    c = sp.run_comparison(tight, bare, sbar=6, methods=["m1"], seed=4)
-    assert a.cells == b.cells
-    assert a.cells != c.cells
+    with pytest.raises(ValueError, match="no cost realizations"):
+        sp.run_comparison(tight, bare, sbar=6, methods=["m1"])
+
+
+def test_row_without_an_optimal_booking_is_inf(tight, tight_scens,
+                                               monkeypatch):
+    monkeypatch.setattr(linprog, "_MAX_SIMPLEX_ITERS", 1)
+    rep = sp.run_comparison(tight, tight_scens, sbar=6, methods=["m1"])
+    for tau in rep.taus:
+        assert rep.cost("m1", tau) == math.inf
+    assert rep.first_stages == {}
+
+
+def test_price_draws_without_draws_yields_nothing(tight, small_report):
+    tau = small_report.taus[0]
+    for m in ("m1", "m5"):
+        booking = small_report.first_stages[(m, tau)]
+        assert list(sp.price_draws(tight, booking, [], [])) == []
 
 
 def test_run_comparison_validation(tight, tight_scens):
@@ -155,7 +169,7 @@ def test_evpi_nonnegative_on_solved_instance(tight, tight_scens, cfg):
 def test_in_sample_stability_prefix_property(tight, tight_scens):
     a = sp.in_sample_stability(tight, tight_scens, [5, 10], seed=1)
     b = sp.in_sample_stability(tight, tight_scens, [5, 10, 20], seed=1)
-    assert a.entries == b.entries[:2]  # smaller samples are prefixes
+    assert a == b[:2]  # smaller samples are prefixes
     with pytest.raises(ValueError):
         sp.in_sample_stability(tight, tight_scens, [10, 5], seed=1)
 
@@ -164,11 +178,6 @@ def test_in_sample_stability_rejects_empty_or_zero_sizes(tight, tight_scens):
     for s_list in ([], [0], [0, 5]):
         with pytest.raises(ValueError, match="sizes >= 1"):
             sp.in_sample_stability(tight, tight_scens, s_list, seed=1)
-
-
-def test_stability_curve_validation():
-    with pytest.raises(ValueError):
-        sp.StabilityCurve(entries=[(5, 1.0), (5, 2.0)], seed=0)
 
 
 def test_monte_carlo_empty_and_determinism(tight, tight_scens, small_report):
