@@ -18,7 +18,7 @@ from .framework import (ALL_COLUMNS, METHOD_COLUMNS, compute_evpi,
                         in_sample_stability, monte_carlo_validation,
                         run_comparison, solve_method)
 from .generate import gen_instance, gen_scenarios
-from .linprog import SolverConfig, Status, solve_lp
+from .linprog import Status, solve_lp
 from .model import Instance
 from .uncertainty import (estimate_box, demand_gamma, load_scenarios,
                           omega_for_epsilon, sample_costs, save_scenarios)
@@ -118,17 +118,13 @@ def _load(args):
 
 def _resolve_omega(args, required: bool):
     if args.omega is not None and args.epsilon is not None:
-        print("error: --omega and --epsilon are mutually exclusive",
-              file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("--omega and --epsilon are mutually exclusive")
     if args.omega is not None:
         return args.omega
     if args.epsilon is not None:
         return omega_for_epsilon(args.epsilon)
     if required:
-        print("error: --omega or --epsilon is required for cone models",
-              file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("--omega or --epsilon is required for cone models")
     return 2.75
 
 
@@ -157,22 +153,19 @@ def _write_solution(out_dir: Path, sol):
 
 def cmd_solve(args) -> int:
     inst, scens = _load(args)
-    cfg = SolverConfig()
-    need_omega = args.model in ("ro-ell", "trsocp")
-    omega = _resolve_omega(args, required=need_omega) if need_omega else None
+    omega = _resolve_omega(args, required=args.model in ("ro-ell", "trsocp"))
 
     if args.model == "ws":
         s = args.scenario - 1
         if not 0 <= s < scens.S:
-            print("error: scenario index out of range", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("scenario index out of range")
         sol = solve_lp(build_ws(inst, scens.demands[s], scens.costs[s],
-                                args.relax), cfg)
+                                args.relax))
     else:
         method = {"sp": "m1", "ro-box": "m2", "ro-ell": "m3",
                   "trsocp": "m4"}[args.model]
         sol = solve_method(inst, method, scens, estimate_box(scens),
-                           omega, args.relax, cfg)
+                           omega, args.relax)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,12 +181,10 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [m for m in methods if m != "ws"]
     sbar = args.sbar if args.sbar is not None else scens.S // 2
-    need_omega = any(m in methods for m in ("m3", "m4", "m5"))
-    omega = _resolve_omega(args, required=False) if need_omega else 2.75
-
-    report = run_comparison(inst, scens, sbar, methods=methods, omega=omega,
-                            relax=args.relax, sigma=args.sigma,
-                            cost_dev_from_sigma=args.sigma_band)
+    report = run_comparison(
+        inst, scens, sbar, methods=methods,
+        omega=_resolve_omega(args, required=False), relax=args.relax,
+        sigma_band=args.sigma if args.sigma_band else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv())
@@ -225,9 +216,8 @@ def cmd_stability(args) -> int:
     try:
         s_list = [int(v) for v in args.s_list.split(",") if v.strip()]
     except ValueError:
-        print("error: --s-list must be a comma list of integers",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(
+            "--s-list must be a comma list of integers") from None
     entries = in_sample_stability(inst, scens, s_list, args.seed, args.sigma)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,8 +231,7 @@ def cmd_stability(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("--n must be >= 0")
     inst, scens = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     sbar = args.sbar if args.sbar is not None else scens.S // 2
@@ -276,14 +265,13 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_evpi(args) -> int:
     inst, scens = _load(args)
-    cfg = SolverConfig()
-    sp = solve_lp(build_sp(inst, scens, args.relax), cfg)
+    sp = solve_lp(build_sp(inst, scens, args.relax))
     if not sp.optimal:
         return _status_exit(sp.status)
     ws_values = []
     for s in range(scens.S):
         sol = solve_lp(build_ws(inst, scens.demands[s], scens.costs[s],
-                                args.relax), cfg)
+                                args.relax))
         if not sol.optimal:
             return _status_exit(sol.status)
         ws_values.append(sol.objective)
@@ -299,8 +287,6 @@ def main(argv=None) -> int:
                 "evpi": cmd_evpi}
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -64,7 +64,7 @@ def _objective_or_inf(sol) -> float:
     return sol.objective if sol.optimal else math.inf
 
 
-def solve_method(inst, method, scens, box, omega, relax, cfg) -> Solution:
+def solve_method(inst, method, scens, box, omega, relax, cfg=None) -> Solution:
     """Solve the first-stage model of ``method`` (m1-m4; m5 books by m4's)
     on scenarios ``scens``; m2/m3 use ``box``, m3/m4 radius ``omega``."""
     build = {"m1": lambda: build_sp(inst, scens, relax),
@@ -148,15 +148,14 @@ def _price_m5(inst, fs, d, b) -> float:
 
 def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
                    methods=None, omega: float = 2.75, relax: bool = True,
-                   sigma: float = 0.2,
-                   cost_dev_from_sigma: bool = False,
+                   sigma_band: float | None = None,
                    cfg: SolverConfig | None = None) -> ComparisonReport:
     """Run the full tau sweep, tau in {sbar, ..., S-1}, one row after another
     in the calling process: each row books with ``methods`` in the given
     order (m5 by the row's m4 solve), then solves wait-and-see.
 
-    ``cost_dev_from_sigma`` switches the box cost deviations from the
-    prefix estimate to the sigma band around the nominal cost.
+    A ``sigma_band`` in [0, 1) replaces the box cost deviations, estimated
+    on each prefix by default, with ``sigma_band`` times the nominal cost.
     """
     if not 1 <= sbar < scens.S:
         raise ValueError("need 1 <= sbar < S")
@@ -164,15 +163,14 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
     for m in methods:
         if m not in METHOD_COLUMNS:
             raise ValueError(f"unknown method {m!r}")
-    cfg = cfg or SolverConfig()
 
     report = ComparisonReport(taus=list(range(sbar, scens.S)), methods=methods)
     cells, times, stages = report.cells, report.times, report.first_stages
     for tau in report.taus:
         prefix = scens.head(tau)
         box = estimate_box(prefix)
-        if cost_dev_from_sigma:
-            box.b_dev = cost_band(box.b_nominal, sigma)[1] - box.b_nominal
+        if sigma_band is not None:
+            box.b_dev = cost_band(box.b_nominal, sigma_band)[1] - box.b_nominal
         d_next = scens.demands[tau]
         b_next = scens.costs[tau]
         solved = {}  # model -> (solution, booking); m5 books by m4's trSOCP
@@ -228,20 +226,16 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
 
     Demands are uniform in the per-destination [min, max] range of the
     historical scenarios; costs uniform in the sigma band around the
-    historical mean (or the instance average when no costs are present).
-    All counts share one stream, so smaller samples are prefixes of larger
-    ones (prefix-stable curves)."""
+    historical mean. All counts share one stream, so smaller samples are
+    prefixes of larger ones (prefix-stable curves)."""
     s_list = list(s_list)
     if not s_list or s_list[0] < 1:
         raise ValueError("s_list must be a nonempty list of sizes >= 1")
     if s_list != sorted(set(s_list)):
         raise ValueError("s_list must be strictly increasing")
-    cfg = cfg or SolverConfig()
     lo = scens.demands.min(axis=0)
     hi = scens.demands.max(axis=0)
-    b_bar = (scens.costs.mean(axis=0) if scens.costs is not None
-             else inst.b_bar_vector())
-    b_lo, b_hi = cost_band(b_bar, sigma)
+    b_lo, b_hi = cost_band(estimate_box(scens).b_nominal, sigma)
     stream = Stream(seed)
     n_max = s_list[-1]
     # demand and cost drawn jointly per row, so a smaller sample is an exact
@@ -272,7 +266,6 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
     b_lo, b_hi = cost_band(b_bar, sigma)
     if n == 0:
         return {}
-    cfg = cfg or SolverConfig()
     d_bar = np.asarray(d_bar, dtype=float)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
     stream = Stream(seed)
@@ -303,7 +296,6 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
     largest tau), plus the wait-and-see cost of that scenario. Bookings are
     priced by :func:`evaluate_recourse`, so an m5 booking follows its hull
     decision rule (inf when the extreme demand lies outside the hull)."""
-    cfg = cfg or SolverConfig()
     d_bar = np.asarray(d_bar, dtype=float)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
     d_ext = d_bar * (1.0 + gamma)

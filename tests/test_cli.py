@@ -149,10 +149,43 @@ def test_omega_epsilon_mutually_exclusive(data_dir, tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_ws_scenario_out_of_range(data_dir, tmp_path):
+@pytest.mark.parametrize("command", [
+    ["solve", "--model", "sp"], ["compare", "--methods", "m1"]],
+    ids=["solve", "compare"])
+@pytest.mark.parametrize("flags, error", [
+    (["--omega", "1", "--epsilon", "0.1"],
+     "--omega and --epsilon are mutually exclusive"),
+    (["--epsilon", "1.5"], "epsilon must lie in (0, 1)")],
+    ids=["both", "epsilon-range"])
+def test_radius_flags_are_checked_without_a_cone_model(
+        data_dir, tmp_path, capsys, command, flags, error):
+    rc = main(command + flags + _common(data_dir, tmp_path))
+    assert rc == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_outlier_capacity_warns_and_still_compares(gen_dir, tmp_path,
+                                                   capsys):
+    doc = json.loads((gen_dir / "instance.json").read_text())
+    doc["destinations"][0]["g"] = 1e9
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    for name in ("demand.csv", "cost.csv"):
+        (tmp_path / name).write_bytes((gen_dir / name).read_bytes())
+    rc = main(["compare", "--methods", "m1", "--sbar", "7"]
+              + _common(tmp_path, tmp_path / "out"))
+    assert rc == 0
+    dest = doc["destinations"][0]["id"]
+    assert (f"warning: destination {dest}: booking capacity"
+            in capsys.readouterr().err)
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_ws_scenario_out_of_range(data_dir, tmp_path, capsys):
     rc = main(["solve", "--model", "ws", "--scenario", "99"]
               + _common(data_dir, tmp_path))
     assert rc == 1
+    assert capsys.readouterr().err == "error: scenario index out of range\n"
 
 
 def test_missing_instance_is_config_error(tmp_path):
@@ -239,14 +272,17 @@ def test_compare_one_scenario_is_config_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_stability_csv(data_dir, tmp_path):
+def test_stability_csv(data_dir, tmp_path, capsys):
     rc = main(["stability", "--s-list", "3,6"] + _common(data_dir, tmp_path))
     assert rc == 0
     lines = (tmp_path / "stability.csv").read_text().splitlines()
     assert lines[0] == "s,objective"
     assert len(lines) == 3
+    capsys.readouterr()
     rc = main(["stability", "--s-list", "x"] + _common(data_dir, tmp_path))
     assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: --s-list must be a comma list of integers\n"
 
 
 def test_stability_empty_or_zero_size_is_config_error(data_dir, tmp_path,
@@ -287,7 +323,7 @@ def test_sigma_outside_unit_interval_is_config_error(data_dir, tmp_path,
 def test_montecarlo_negative_n_is_config_error(data_dir, tmp_path, capsys):
     rc = main(["montecarlo", "--n", "-2"] + _common(data_dir, tmp_path))
     assert rc == 1
-    assert "error: --n must be >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --n must be >= 0\n"
 
 
 def test_non_finite_cost_cell_is_config_error(data_dir, tmp_path, capsys):

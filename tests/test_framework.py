@@ -81,6 +81,8 @@ def test_comparison_needs_cost_realizations(tight, tight_scens):
     bare = sp.ScenarioSet(tight_scens.demands, dest_ids=tight_scens.dest_ids)
     with pytest.raises(ValueError, match="no cost realizations"):
         sp.run_comparison(tight, bare, sbar=6, methods=["m1"])
+    with pytest.raises(ValueError, match="no cost realizations"):
+        sp.in_sample_stability(tight, bare, [3, 6], seed=1)
 
 
 def test_row_without_an_optimal_booking_is_inf(tight, tight_scens,
@@ -220,8 +222,8 @@ def test_sigma_band_comparison_rejects_sigma_outside_unit_interval(
         m2_bookings, sigma):
     inst, scens, _ = m2_bookings
     with pytest.raises(ValueError, match=SIGMA_ERROR):
-        sp.run_comparison(inst, scens, sbar=3, methods=["m2"], sigma=sigma,
-                          cost_dev_from_sigma=True)
+        sp.run_comparison(inst, scens, sbar=3, methods=["m2"],
+                          sigma_band=sigma)
 
 
 def test_stability_and_stress_reject_sigma_outside_unit_interval(

@@ -93,6 +93,9 @@ def test_validation_errors():
                    {"ub": -math.inf}):
         with pytest.raises(ValueError, match="is nan or"):
             p.add_var("bad", **bounds)
+    for obj in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite objective"):
+            p.add_var("bad", obj=obj)
     with pytest.raises(ValueError):
         p.add_row({"nope": 1.0}, "<=", 0.0)
     with pytest.raises(ValueError):

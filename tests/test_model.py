@@ -37,6 +37,19 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d,),
                     arcs=(sp.Arc("s1", "p9", "d1", 2.0),))
+    with pytest.raises(ValueError, match="duplicate destination id"):
+        sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d, d),
+                    arcs=(a,))
+    with pytest.raises(ValueError, match="supplier s1: duplicate plant"):
+        sp.Instance(q=10.0, alpha=0.5,
+                    suppliers=(sp.Supplier("s1", 0.0, 10.0, ("p1", "p1")),),
+                    destinations=(d,), arcs=(a,))
+    for arc, error in ((sp.Arc("s9", "p1", "d1", 2.0), "unknown supplier s9"),
+                       (sp.Arc("s1", "p1", "d9", 2.0),
+                        "unknown destination d9")):
+        with pytest.raises(ValueError, match=error):
+            sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d,),
+                        arcs=(arc,))
     with pytest.raises(ValueError):
         sp.Instance(q=10.0, alpha=0.5, suppliers=(s,), destinations=(d,),
                     arcs=(a, sp.Arc("s1", "p1", "d1", 3.0)))

@@ -66,6 +66,9 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(s.demands, demands)
     assert np.array_equal(s.costs, costs)
     assert s.dest_ids == ["d1", "d2"]
+    d_csv = tmp_path / "d.csv"
+    d_csv.write_text(d_csv.read_text().replace("\n", "\n\n"))  # blank lines
+    assert np.array_equal(load_scenarios(d_csv).demands, demands)
 
 
 def test_csv_column_reorder(tmp_path):
@@ -98,6 +101,9 @@ def test_header_mismatch_between_files(tmp_path):
     save_scenarios(tmp_path / "d.csv", ["a"], np.array([[1.0]]))
     save_scenarios(tmp_path / "b.csv", ["z"], np.array([[1.0]]))
     with pytest.raises(ValueError, match="headers differ"):
+        load_scenarios(tmp_path / "d.csv", tmp_path / "b.csv")
+    save_scenarios(tmp_path / "b.csv", ["a"], np.array([[1.0], [2.0]]))
+    with pytest.raises(ValueError, match="row counts differ"):
         load_scenarios(tmp_path / "d.csv", tmp_path / "b.csv")
 
 
