@@ -40,7 +40,7 @@ print(f"{'omega':>8} {'eps bound':>10} {'ellipsoid':>12} {'adjustable':>12}")
 for omega in (0.0, 1.0, math.sqrt(2.0), 2.0, 2.75):
     p = sp.build_ro_ell(inst, box, omega)
     ell = sp.solve_lp(p, cfg).objective
-    p4 = sp.build_trsocp(inst, scens, omega)
+    p4 = sp.build_trsocp(inst, scens, box, omega)
     tr = sp.solve_lp(p4, cfg).objective
     eps = math.exp(-omega ** 2 / 2.0)
     print(f"{omega:8.3f} {eps:10.4f} {ell:12.2f} {tr:12.2f}")

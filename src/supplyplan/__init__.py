@@ -12,7 +12,7 @@ from .formulations import (PHI_ZERO_TOL, FirstStage, PhiPositive,
                            build_sp, build_trsocp, build_ws,
                            extract_first_stage, recover_adjustable_m5)
 from .framework import (ALL_COLUMNS, METHOD_COLUMNS, ComparisonReport,
-                        compute_evpi, evaluate_recourse, in_sample_stability,
+                        compute_evpi, in_sample_stability,
                         monte_carlo_validation, price_draws, run_comparison,
                         stress_worst_case)
 from .generate import gen_instance, gen_scenarios
@@ -35,7 +35,7 @@ __all__ = [
     "PhiPositive", "ScenarioSet", "Solution", "SolverConfig", "Status",
     "Stream", "Supplier", "booking_cost", "build_recourse",
     "build_ro_box", "build_ro_ell", "build_sp", "build_trsocp", "build_ws",
-    "compute_evpi", "demand_gamma", "estimate_box", "evaluate_recourse",
+    "compute_evpi", "demand_gamma", "estimate_box",
     "extract_first_stage", "gen_instance", "gen_scenarios",
     "in_sample_stability", "load_scenarios", "monte_carlo_validation",
     "omega_for_epsilon", "price_draws", "project_simplex_lsq",

@@ -244,12 +244,12 @@ def cmd_montecarlo(args) -> int:
         return EXIT_OK
     report = run_comparison(inst, scens, sbar, methods=methods,
                             omega=args.omega)
-    first_stages = {}
-    for m in methods:
-        per_tau = {tau: fs for (col, tau), fs in report.first_stages.items()
-                   if col == m}
-        if per_tau:
-            first_stages[m] = per_tau
+    # a method is priced only with a booking at every tau; one failed
+    # booking solve makes its cost inf, as in report.csv's aggregate
+    stages = report.first_stages
+    first_stages = {m: {tau: stages[(m, tau)] for tau in report.taus}
+                    for m in methods
+                    if all((m, tau) in stages for tau in report.taus)}
     d_bar = scens.demands.mean(axis=0)
     gamma = demand_gamma(scens)
     results = monte_carlo_validation(

@@ -23,7 +23,7 @@ from .linprog import ConeRow, LinearProblem, Solution
 from .model import (ArcKey, Instance, _as_demand, booking_cost,
                     first_stage_rows, second_stage_rows, x_name, y_name,
                     z_name)
-from .uncertainty import BoxParams, ScenarioSet, estimate_box
+from .uncertainty import BoxParams, ScenarioSet
 
 PHI_ZERO_TOL = 1e-6  # relative to ||d||^2 + 1
 
@@ -48,14 +48,13 @@ def extract_first_stage(inst: Instance, sol: Solution) -> FirstStage:
 def _cost(inst: Instance, b, tag=None, weight: float = 1.0) -> dict[str, float]:
     """Coefficients of ``weight * f(x, y, z; b)`` for the recourse block
     ``tag``: booking net of the full refund, the refund given back on used
-    vehicles, and purchases at cost ``b`` (a vector or destination map)."""
-    b = _as_demand(inst, b)
+    vehicles, and purchases at cost ``b`` (a vector in destination order)."""
     coeffs = {}
     for a in inst.arcs:
         coeffs[x_name(a)] = weight * inst.q * a.t * (1.0 - inst.alpha)
         coeffs[z_name(a, tag)] = weight * inst.alpha * inst.q * a.t
-    for dest in inst.destinations:
-        coeffs[y_name(dest.id, tag)] = weight * inst.q * b[dest.id]
+    for dest, b_j in zip(inst.destinations, _as_demand(inst, b)):
+        coeffs[y_name(dest.id, tag)] = weight * inst.q * b_j
     return coeffs
 
 
@@ -117,13 +116,13 @@ def build_ro_ell(inst: Instance, box: BoxParams, omega: float) -> LinearProblem:
     return _worst_cost(inst, [box.d_corner], box, omega, [None])
 
 
-def build_trsocp(inst: Instance, scens: ScenarioSet,
+def build_trsocp(inst: Instance, scens: ScenarioSet, box: BoxParams,
                  omega: float) -> LinearProblem:
     """Tractable adjustable counterpart over the hull of the given scenarios:
-    the worst cost over the scenario demands, one (y^s, z^s) block and cone
-    row per scenario. Continuous."""
-    return _worst_cost(inst, scens.demands, estimate_box(scens), omega,
-                       range(scens.S))
+    the worst cost over the scenario demands under the cost ellipsoid of
+    ``box`` and radius ``omega``, one (y^s, z^s) block and cone row per
+    scenario. Continuous."""
+    return _worst_cost(inst, scens.demands, box, omega, range(scens.S))
 
 
 def build_recourse(inst: Instance, x_star, d, b,

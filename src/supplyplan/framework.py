@@ -66,28 +66,22 @@ def _objective_or_inf(sol) -> float:
 
 def solve_method(inst, method, scens, box, omega, relax, cfg=None) -> Solution:
     """Solve the first-stage model of ``method`` (m1-m4; m5 books by m4's)
-    on scenarios ``scens``; m2/m3 use ``box``, m3/m4 radius ``omega``."""
+    on scenarios ``scens``; m2-m4 use ``box``, m3/m4 radius ``omega``."""
     build = {"m1": lambda: build_sp(inst, scens, relax),
              "m2": lambda: build_ro_box(inst, box, relax),
              "m3": lambda: build_ro_ell(inst, box, omega),
-             "m4": lambda: build_trsocp(inst, scens, omega)}
+             "m4": lambda: build_trsocp(inst, scens, box, omega)}
     if method not in build:
         raise ValueError(f"unknown method {method!r}")
     return solve_lp(build[method](), cfg)
 
 
-def evaluate_recourse(inst, x_star, d, b, relax=True, cfg=None) -> float:
-    """Realized cost of a booking at demand ``d`` and cost ``b``: the one
-    draw of :func:`price_draws`."""
-    return next(price_draws(inst, x_star, [d], [b], relax, cfg))
-
-
 def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
-    """Yield the realized cost of ``booking`` at each draw ``(ds[i], bs[i])``,
-    inf if infeasible: an m5 booking (with a ``hull``) by its hull decision
-    rule, any other by the optimal fixed-booking recourse. A non-finite
-    demand or cost in any draw raises ``ValueError`` before any draw is
-    priced.
+    """Yield the realized cost of ``booking`` at each draw ``(ds[i], bs[i])``
+    of demand and cost vectors in destination order, inf if infeasible: an
+    m5 booking (with a ``hull``) by its hull decision rule, any other by the
+    optimal fixed-booking recourse. A non-finite demand or cost in any draw
+    raises ``ValueError`` before any draw is priced.
 
     The recourse problem is built once; each draw overwrites its demand
     cover (C3) bounds and purchase costs and re-solves it in HiGHS, a
@@ -96,7 +90,7 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     leaves, and that is the same from any optimal vertex."""
     if len(ds) != len(bs):
         raise ValueError(f"{len(ds)} demands but {len(bs)} costs")
-    draws = np.array([[[*_as_demand(inst, v).values()] for v in (d, b)]
+    draws = np.array([[_as_demand(inst, d), _as_demand(inst, b)]
                       for d, b in zip(ds, bs)])
     if not np.isfinite(draws).all():
         raise ValueError("a draw has a non-finite demand or cost")
@@ -151,11 +145,14 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
                    sigma_band: float | None = None,
                    cfg: SolverConfig | None = None) -> ComparisonReport:
     """Run the full tau sweep, tau in {sbar, ..., S-1}, one row after another
-    in the calling process: each row books with ``methods`` in the given
-    order (m5 by the row's m4 solve), then solves wait-and-see.
+    in the calling process: each row estimates one box on its prefix, books
+    with ``methods`` in the given order (m2-m4 on that box, m5 by the row's
+    m4 solve), prices each booking by one draw of :func:`price_draws` at the
+    next realization, then solves wait-and-see.
 
     A ``sigma_band`` in [0, 1) replaces the box cost deviations, estimated
-    on each prefix by default, with ``sigma_band`` times the nominal cost.
+    on each prefix by default, with ``sigma_band`` times the nominal cost,
+    so it reaches m2, m3 and m4 (and m5 through m4).
     """
     if not 1 <= sbar < scens.S:
         raise ValueError("need 1 <= sbar < S")
@@ -188,8 +185,8 @@ def run_comparison(inst: Instance, scens: ScenarioSet, sbar: int,
                 if m == "m5":
                     fs = replace(fs, hull=(prefix.demands, sol))
                 stages[(m, tau)] = fs
-                cells[(m, tau)] = evaluate_recourse(inst, fs, d_next, b_next,
-                                                    relax, cfg)
+                cells[(m, tau)] = next(price_draws(inst, fs, [d_next],
+                                                   [b_next], relax, cfg))
             times[(m, tau)] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -258,11 +255,12 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
     """Aggregate recourse cost per method over ``n`` sampled realizations.
 
     ``first_stages`` maps method column -> {tau: FirstStage}; the aggregate is
-    the sum over tau of the mean evaluated cost over the draws. Each booking
-    prices its draws in turn through one :func:`price_draws` generator, which
-    re-solves one recourse LP warm from draw to draw. Any infeasible draw, or
-    for m5 any draw outside the hull, makes the aggregate inf, and the
-    booking's remaining draws are not priced."""
+    the sum over tau of the mean evaluated cost over the draws, demand and
+    cost vectors in destination order around ``d_bar`` and ``b_bar``. Each
+    booking prices its draws in turn through one :func:`price_draws`
+    generator, which re-solves one recourse LP warm from draw to draw. Any
+    infeasible draw, or for m5 any draw outside the hull, makes the
+    aggregate inf, and the booking's remaining draws are not priced."""
     b_lo, b_hi = cost_band(b_bar, sigma)
     if n == 0:
         return {}
@@ -293,18 +291,18 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
                       d_bar, b_bar, cfg: SolverConfig | None = None):
     """Single extreme evaluation per method at demand d_bar (1 + gamma) and
     cost b_bar (1 + sigma), using each method's most informed booking (the
-    largest tau), plus the wait-and-see cost of that scenario. Bookings are
-    priced by :func:`evaluate_recourse`, so an m5 booking follows its hull
-    decision rule (inf when the extreme demand lies outside the hull)."""
+    largest tau), plus the wait-and-see cost of that scenario. Each booking
+    is priced by one draw of :func:`price_draws`, so an m5 booking follows
+    its hull decision rule (inf when the extreme demand lies outside the
+    hull)."""
     d_bar = np.asarray(d_bar, dtype=float)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), d_bar.shape)
     d_ext = d_bar * (1.0 + gamma)
     b_ext = cost_band(b_bar, sigma)[1]
     out = {}
     for method, per_tau in first_stages.items():
-        tau = max(per_tau)
-        out[method] = evaluate_recourse(inst, per_tau[tau], d_ext, b_ext,
-                                        True, cfg)
+        out[method] = next(price_draws(inst, per_tau[max(per_tau)],
+                                       [d_ext], [b_ext], True, cfg))
     ws_sol = solve_lp(build_ws(inst, d_ext, b_ext, relax=True), cfg)
     out["ws"] = _objective_or_inf(ws_sol)
     return out

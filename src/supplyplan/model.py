@@ -194,18 +194,13 @@ def y_name(dest_id: str, tag=None) -> str:
 
 # -- cost functions --------------------------------------------------------
 
-def _as_demand(inst: Instance, d) -> dict[str, float]:
-    if isinstance(d, Mapping):
-        out = {}
-        for dest in inst.destinations:
-            if dest.id not in d:
-                raise KeyError(f"missing destination {dest.id} in demand")
-            out[dest.id] = float(d[dest.id])
-        return out
+def _as_demand(inst: Instance, d) -> list[float]:
+    """A demand or cost draw as floats in the instance's destination
+    order."""
     d = np.asarray(d, dtype=float)
-    if d.size != len(inst.destinations):
+    if d.shape != (len(inst.destinations),):
         raise ValueError("demand vector has wrong dimension")
-    return {dest.id: float(v) for dest, v in zip(inst.destinations, d)}
+    return d.tolist()
 
 
 def booking_cost(inst: Instance, x: Mapping[ArcKey, float]) -> float:
@@ -221,7 +216,7 @@ def recourse_cost(inst: Instance, x: Mapping[ArcKey, float],
                   y: Mapping[str, float], z: Mapping[ArcKey, float],
                   b) -> float:
     """f2 = q * sum_j b_j y_j - alpha * q * sum t_a (x_a - z_a)."""
-    bmap = _as_demand(inst, b)
+    bmap = dict(zip(inst.dest_ids, _as_demand(inst, b)))
     keys = {a.key for a in inst.arcs}
     for k in {**x, **z}:
         if k not in keys:
@@ -270,10 +265,10 @@ def second_stage_rows(p: LinearProblem, inst: Instance, d, relax: bool,
         p.add_row(coeffs, "<=", s.v)
         if s.r > 0:
             p.add_row(coeffs, ">=", s.r)
-    for dest in inst.destinations:
+    for dest, d_j in zip(inst.destinations, demand):
         coeffs = {z_name(a, tag): inst.q for a in inst.arcs_to(dest.id)}
         coeffs[y_name(dest.id, tag)] = inst.q
-        p.add_row(coeffs, ">=", demand[dest.id] - dest.l0)
+        p.add_row(coeffs, ">=", d_j - dest.l0)
     if booking is None:
         for a in inst.arcs:
             p.add_row({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0)

@@ -204,3 +204,24 @@ def tight_scens(n: int = 8, seed: int = 5) -> sp.ScenarioSet:
     demands = stream.uniform_matrix([60.0, 70.0], [110.0, 130.0], n)
     costs = stream.uniform_matrix([5.6, 7.2], [8.4, 10.8], n)
     return sp.ScenarioSet(demands, costs, dest_ids=["d1", "d2"])
+
+
+def band_instance() -> sp.Instance:
+    """One supplier booking for two destinations whose prefix cost
+    deviations differ widely (40 and 1), so a sigma band of the nominal
+    cost moves the m2-m4 bookings."""
+    return sp.Instance(
+        q=31.0, alpha=0.7,
+        suppliers=(sp.Supplier("s1", 0.0, 3100.0, ("p1",)),),
+        destinations=(sp.Destination("d1", 50.0, 1e4),
+                      sp.Destination("d2", 60.0, 1e4)),
+        arcs=(sp.Arc("s1", "p1", "d1", 5.0), sp.Arc("s1", "p1", "d2", 5.0)))
+
+
+def band_scens() -> sp.ScenarioSet:
+    demands = [[3000, 3000], [3100, 3100], [2900, 3000], [3050, 2950],
+               [3000, 3050], [3000, 3000]]
+    costs = [[30, 59], [70, 61], [50, 60], [40, 60], [60, 60], [50, 60]]
+    return sp.ScenarioSet(np.array(demands, dtype=float),
+                          np.array(costs, dtype=float),
+                          dest_ids=["d1", "d2"])

@@ -54,7 +54,7 @@ def synthetic():
 @pytest.fixture(scope="module")
 def synthetic_trsocp(synthetic, cfg):
     inst, scens = synthetic
-    p = sp.build_trsocp(inst, scens, 2.75)
+    p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     return sol
@@ -97,7 +97,7 @@ def test_criterion_2_one_arc_oracle_suite(criterion, cfg):
                                    abs=1e-7)
         assert ro == pytest.approx(100.0, abs=1e-7)
 
-        rec = sp.evaluate_recourse(inst, {key: 5.0}, [30.0], [8.0], cfg=cfg)
+        rec, = sp.price_draws(inst, {key: 5.0}, [[30.0]], [[8.0]], cfg=cfg)
         assert rec == pytest.approx(
             helpers.one_arc_recourse_oracle(inst, 5.0, 30.0), abs=1e-7)
         assert rec == pytest.approx(80.0, abs=1e-7)

@@ -441,6 +441,43 @@ def _report_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:-1]]
 
 
+def test_compare_sigma_band_moves_the_box_models(tmp_path):
+    inst, scens = helpers.band_instance(), helpers.band_scens()
+    inst.save(tmp_path / "instance.json")
+    sp.save_scenarios(tmp_path / "demand.csv", inst.dest_ids, scens.demands)
+    sp.save_scenarios(tmp_path / "cost.csv", inst.dest_ids, scens.costs)
+    for name, flags in (("plain", []), ("band", ["--sigma-band"])):
+        assert main(["compare", "--sbar", "5", *flags]
+                    + _common(tmp_path, tmp_path / name)) == 0
+    [plain], [band] = (_report_rows(tmp_path / n) for n in ("plain", "band"))
+    assert [band[c] == plain[c] for c in sp.ALL_COLUMNS] == \
+        [True, False, False, False, False, True]
+
+
+def test_montecarlo_prices_a_method_over_every_row(tmp_path, monkeypatch):
+    """m1's booking solve fails at tau = 9, which makes its report.csv
+    aggregate inf; its Monte Carlo cost is inf too, not the sum over the
+    rows that solved."""
+    assert main(["gen", "--suppliers", "6", "--destinations", "4",
+                 "--scenarios", "12", "--seed", "12",
+                 "--out", str(tmp_path)]) == 0
+    solve_method = framework.solve_method
+
+    def fail_m1_at_nine(inst, method, scens, *args):
+        if method == "m1" and scens.S == 9:
+            return sp.Solution(sp.Status.ITER_LIMIT, math.inf, {})
+        return solve_method(inst, method, scens, *args)
+
+    monkeypatch.setattr(framework, "solve_method", fail_m1_at_nine)
+    rc = main(["montecarlo", "--n", "5", "--sbar", "8", "--methods", "m1,m2"]
+              + _common(tmp_path, tmp_path))
+    assert rc == 0
+    rows = dict(line.split(",") for line in
+                (tmp_path / "montecarlo.csv").read_text().splitlines()[1:])
+    assert rows["m1"] == "inf"
+    assert math.isfinite(float(rows["m2"]))
+
+
 def test_compare_integer_cells_above_relaxed_ws(gen_dir, tmp_path):
     argv = ["compare", "--methods", "m1,m2", "--sbar", "5"]
     assert main(argv + ["--integer"] + _common(gen_dir, tmp_path / "int")) == 0

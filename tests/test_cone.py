@@ -126,7 +126,8 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
     rotated-cone triples and its terms, so the LP has at most half the
     nonzeros it would have with the affine part copied into each cut."""
     inst = sp.gen_instance(6, 4, seed=12)
-    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 6, seed=13), 2.75)
+    scens = sp.gen_scenarios(inst, 6, seed=13)
+    p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
     matrices = _lp_matrices(p, cfg, monkeypatch)
 
     live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
@@ -159,9 +160,10 @@ def test_solve_lp_reaches_the_cone_optimum_of_m3_and_m4(cfg):
     both LPs are unbounded below."""
     inst = sp.gen_instance(6, 4, seed=12)
     scens = sp.gen_scenarios(inst, 16, seed=13)
-    for p, optimum in ((sp.build_ro_ell(inst, sp.estimate_box(scens), 2.75),
+    box = sp.estimate_box(scens)
+    for p, optimum in ((sp.build_ro_ell(inst, box, 2.75),
                         19419.462772895124),
-                       (sp.build_trsocp(inst, scens, 2.75),
+                       (sp.build_trsocp(inst, scens, box, 2.75),
                         17389.467334024048)):
         sol = sp.solve_lp(p, cfg)
         assert sol.optimal and sol.lp_rounds >= 1
@@ -194,7 +196,8 @@ def test_m4_closes_in_few_rounds(cfg):
     on the aggregated norm; per-term rotated-cone cuts take 11."""
     inst = sp.gen_instance(24, 15, seed=42)
     scens = sp.gen_scenarios(inst, 48, seed=43).head(47)
-    sol = sp.solve_lp(sp.build_trsocp(inst, scens, 2.75), cfg)
+    p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
+    sol = sp.solve_lp(p, cfg)
     assert sol.optimal and sol.lp_rounds <= 12
     assert 0.0 < sol.gap <= cfg.cone_tol * abs(sol.objective)
 
@@ -204,8 +207,9 @@ def test_cone_solves_report_their_gap(cfg):
     lifted objective less the LP bound is within the cone tolerance."""
     inst = sp.gen_instance(6, 4, seed=12)
     scens = sp.gen_scenarios(inst, 16, seed=13)
-    for p in (sp.build_ro_ell(inst, sp.estimate_box(scens), 2.75),
-              sp.build_trsocp(inst, scens, 2.75)):
+    box = sp.estimate_box(scens)
+    for p in (sp.build_ro_ell(inst, box, 2.75),
+              sp.build_trsocp(inst, scens, box, 2.75)):
         sol = sp.solve_lp(p, cfg)
         assert sol.optimal
         assert 0.0 <= sol.gap <= cfg.cone_tol * abs(sol.objective)
@@ -215,7 +219,8 @@ def test_gap_keeps_the_best_lifted_point():
     """The lifted bound rises in this m4's third round, so each solve keeps
     the best one: objective + gap never rises as the round budget grows."""
     inst = sp.gen_instance(8, 6, seed=1)
-    p = sp.build_trsocp(inst, sp.gen_scenarios(inst, 16, seed=2), 2.75)
+    scens = sp.gen_scenarios(inst, 16, seed=2)
+    p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
     upper = [sol.objective + sol.gap for sol in
              (sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=cap))
               for cap in range(4))]

@@ -117,16 +117,17 @@ def test_trsocp_below_ro_ell(tight, tight_scens, cfg):
     box = sp.estimate_box(tight_scens)
     p = sp.build_ro_ell(tight, box, 2.75)
     ell_val = sp.solve_lp(p, cfg).objective
-    p4 = sp.build_trsocp(tight, tight_scens, 2.75)
+    p4 = sp.build_trsocp(tight, tight_scens, box, 2.75)
     tr_val = sp.solve_lp(p4, cfg).objective
     assert tr_val <= ell_val + 1e-5 * abs(ell_val)
 
 
 def test_trsocp_empty_scenarios_rejected(tight):
+    no_costs = sp.ScenarioSet(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        sp.build_sp(tight, sp.ScenarioSet(np.zeros((1, 2))))  # no costs
+        sp.build_sp(tight, no_costs)
     with pytest.raises(ValueError):
-        sp.build_trsocp(tight, sp.ScenarioSet(np.zeros((1, 2))), 1.0)
+        sp.build_trsocp(tight, no_costs, sp.estimate_box(no_costs), 1.0)
 
 
 def test_integer_sp_books_whole_vehicles(one_arc, cfg):
@@ -145,8 +146,8 @@ def test_recourse_infeasible_when_minimum_unreachable(cfg):
         destinations=(sp.Destination("d1", 8.0, 100.0),),
         arcs=(sp.Arc("s1", "p1", "d1", 2.0),))
     # booking 2 vehicles caps q*z at 20 < minimum 50
-    cost = sp.evaluate_recourse(inst, {("s1", "p1", "d1"): 2.0}, [30.0], [8.0],
-                                cfg=cfg)
+    cost, = sp.price_draws(inst, {("s1", "p1", "d1"): 2.0}, [[30.0]], [[8.0]],
+                           cfg=cfg)
     assert math.isinf(cost)
 
 
@@ -160,7 +161,8 @@ def test_extract_first_stage_clamps_negatives(one_arc):
 # -- adjustable recovery -----------------------------------------------------
 
 def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
-    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    box = sp.estimate_box(tight_scens)
+    p = sp.build_trsocp(tight, tight_scens, box, 2.75)
     sol = sp.solve_lp(p, cfg)
     lam = np.zeros(tight_scens.S)
     lam[2] = 1.0
@@ -174,7 +176,8 @@ def test_recover_matches_block_on_scenario_point(tight, tight_scens, cfg):
 
 
 def test_recover_rejects_bad_lambda(tight, tight_scens, cfg):
-    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    box = sp.estimate_box(tight_scens)
+    p = sp.build_trsocp(tight, tight_scens, box, 2.75)
     sol = sp.solve_lp(p, cfg)
     with pytest.raises(ValueError):
         sp.recover_adjustable_m5(tight, sol, np.full(tight_scens.S, 0.5), 0.0,
@@ -182,7 +185,8 @@ def test_recover_rejects_bad_lambda(tight, tight_scens, cfg):
 
 
 def test_recover_raises_outside_hull(tight, tight_scens, cfg):
-    p = sp.build_trsocp(tight, tight_scens, 2.75)
+    box = sp.estimate_box(tight_scens)
+    p = sp.build_trsocp(tight, tight_scens, box, 2.75)
     sol = sp.solve_lp(p, cfg)
     d = tight_scens.demands[0]
     lam = np.zeros(tight_scens.S)

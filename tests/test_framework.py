@@ -119,29 +119,6 @@ def test_m5_finite_iff_projection_inside_hull(tight, tight_scens, small_report):
         assert math.isfinite(small_report.cost("m5", tau)) == inside
 
 
-def test_m5_prices_destination_maps_like_vectors():
-    inst = sp.gen_instance(6, 2, seed=0)
-    scens = sp.gen_scenarios(inst, 30, seed=1)
-    rep = sp.run_comparison(inst, scens, sbar=28, methods=["m4", "m5"])
-    b = scens.costs[29]
-    inside = scens.demands[:3].mean(axis=0)
-    outside = 1.5 * scens.demands.max(axis=0)
-
-    def as_map(v):
-        return dict(zip(inst.dest_ids, v))
-
-    for m in ("m4", "m5"):
-        fs = rep.first_stages[(m, 28)]
-        for d in (inside, outside):
-            assert (sp.evaluate_recourse(inst, fs, as_map(d), as_map(b))
-                    == sp.evaluate_recourse(inst, fs, d, b))
-    m5 = rep.first_stages[("m5", 28)]
-    assert math.isfinite(sp.evaluate_recourse(inst, m5, as_map(inside),
-                                              as_map(b)))
-    assert sp.evaluate_recourse(inst, m5, as_map(outside), as_map(b)) == \
-        math.inf
-
-
 def test_compute_evpi():
     assert sp.compute_evpi(10.0, [4.0, 6.0]) == pytest.approx(5.0)
     assert sp.compute_evpi(10.0, [4.0, 6.0], probs=[1.0, 0.0]) == \
@@ -226,6 +203,20 @@ def test_sigma_band_comparison_rejects_sigma_outside_unit_interval(
                           sigma_band=sigma)
 
 
+def test_sigma_band_reaches_m2_to_m4():
+    """The band replaces the row's box cost deviations (20 and 1 on this
+    prefix) with 0.2 of the nominal cost (10 and 12). m2, m3 and m4 book on
+    that box; m1 and wait-and-see read no box."""
+    inst, scens = helpers.band_instance(), helpers.band_scens()
+    plain = sp.run_comparison(inst, scens, sbar=5)
+    band = sp.run_comparison(inst, scens, sbar=5, sigma_band=0.2)
+    for col in ("m1", "ws"):
+        assert band.cost(col, 5) == plain.cost(col, 5)
+    for col in ("m2", "m3", "m4"):
+        assert band.cost(col, 5) != pytest.approx(plain.cost(col, 5),
+                                                  rel=1e-3)
+
+
 def test_stability_and_stress_reject_sigma_outside_unit_interval(
         m2_bookings):
     inst, scens, stages = m2_bookings
@@ -287,8 +278,8 @@ def test_m5_booking_carries_its_hull_rule():
         m5 = report.first_stages[("m5", tau)]
         assert m4.hull is None and m5.hull is not None and m4 is not m5
         assert m5.x == m4.x
-        v = sp.evaluate_recourse(inst, m5, scens.demands[tau],
-                                 scens.costs[tau])
+        v, = sp.price_draws(inst, m5, [scens.demands[tau]],
+                            [scens.costs[tau]])
         assert v == report.cost("m5", tau)  # bit-for-bit, inf included
         finite += math.isfinite(v)
         m5_alone = alone.first_stages[("m5", tau)]
@@ -317,9 +308,9 @@ def test_m5_covers_demand_the_tolerance_lets_through():
     m5 = report.first_stages[("m5", 28)]
     _, phi = sp.project_simplex_lsq(d, list(m5.hull[0]))
     assert 0.0 < phi <= sp.PHI_ZERO_TOL * (float(d @ d) + 1.0)
-    m5_cost = sp.evaluate_recourse(inst, m5, d, b)
+    m5_cost, = sp.price_draws(inst, m5, [d], [b])
     assert math.isfinite(m5_cost)
-    assert m5_cost >= sp.evaluate_recourse(inst, m4, d, b)
+    assert m5_cost >= next(sp.price_draws(inst, m4, [d], [b]))
 
 
 def _minimum_and_stock():
@@ -356,7 +347,7 @@ def test_price_draws_matches_cold_recourse(cfg):
     for cost, d, b in zip(costs, ds, bs):
         assert cost == pytest.approx(_cold(inst, BOOKING, d, b, cfg),
                                      rel=1e-12, abs=1e-9)
-    assert sp.evaluate_recourse(inst, BOOKING, ds[7], bs[7], cfg=cfg) \
+    assert next(sp.price_draws(inst, BOOKING, [ds[7]], [bs[7]], cfg=cfg)) \
         == pytest.approx(costs[7], rel=1e-12)
 
 

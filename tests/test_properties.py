@@ -53,7 +53,7 @@ def test_adjustable_below_static_ellipsoid(case, omega):
     inst, scens = case
     box = sp.estimate_box(scens)
     ell = sp.solve_lp(sp.build_ro_ell(inst, box, omega))
-    adj = sp.solve_lp(sp.build_trsocp(inst, scens, omega))
+    adj = sp.solve_lp(sp.build_trsocp(inst, scens, box, omega))
     assert ell.optimal and adj.optimal
     assert adj.objective <= ell.objective + 1e-5 * abs(ell.objective)
 
@@ -66,7 +66,7 @@ def test_optimal_cone_solves_meet_the_tolerance(case, omega, cone_tol):
     cfg = sp.SolverConfig(cone_tol=cone_tol)
     box = sp.estimate_box(scens)
     for p in (sp.build_ro_ell(inst, box, omega),
-              sp.build_trsocp(inst, scens, omega)):
+              sp.build_trsocp(inst, scens, box, omega)):
         sol = sp.solve_lp(p, cfg)
         if sol.optimal:
             assert sol.cone_residual <= cfg.cone_tol
