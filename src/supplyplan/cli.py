@@ -42,10 +42,7 @@ def _add_common(p):
 
 
 def _add_relax(p):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--relax", dest="relax", action="store_true", default=True,
-                   help="continuous variables (default)")
-    g.add_argument("--integer", dest="relax", action="store_false",
+    p.add_argument("--integer", dest="relax", action="store_false",
                    help="integer bookings/usages where the model allows it")
 
 
@@ -93,6 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sbar", type=int)
     p.add_argument("--omega", type=float, default=2.75)
     p.add_argument("--methods", default="m1,m2,m3,m4")
+    p.set_defaults(epsilon=None)   # no --epsilon: --omega sets the radius
     _add_common(p)
 
     p = sub.add_parser("evpi", help="expected value of perfect information")
@@ -119,13 +117,15 @@ def _load(args):
 def _resolve_omega(args, required: bool):
     if args.omega is not None and args.epsilon is not None:
         raise ValueError("--omega and --epsilon are mutually exclusive")
-    if args.omega is not None:
-        return args.omega
     if args.epsilon is not None:
         return omega_for_epsilon(args.epsilon)
-    if required:
+    if args.omega is None and required:
         raise ValueError("--omega or --epsilon is required for cone models")
-    return 2.75
+    omega = 2.75 if args.omega is None else args.omega
+    # checked here, as a model without cone rows never reads it
+    if not 0.0 <= omega < math.inf:
+        raise ValueError("cone scale must be finite and >= 0 (--omega)")
+    return omega
 
 
 def _status_exit(status: Status) -> int:
@@ -232,6 +232,7 @@ def cmd_stability(args) -> int:
 def cmd_montecarlo(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
+    omega = _resolve_omega(args, required=False)
     inst, scens = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     sbar = args.sbar if args.sbar is not None else scens.S // 2
@@ -242,8 +243,7 @@ def cmd_montecarlo(args) -> int:
         path.write_text("method,cost\n")
         print(f"monte carlo results written to {path}")
         return EXIT_OK
-    report = run_comparison(inst, scens, sbar, methods=methods,
-                            omega=args.omega)
+    report = run_comparison(inst, scens, sbar, methods=methods, omega=omega)
     # a method is priced only with a booking at every tau; one failed
     # booking solve makes its cost inf, as in report.csv's aggregate
     stages = report.first_stages

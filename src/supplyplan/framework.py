@@ -80,8 +80,9 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
     """Yield the realized cost of ``booking`` at each draw ``(ds[i], bs[i])``
     of demand and cost vectors in destination order, inf if infeasible: an
     m5 booking (with a ``hull``) by its hull decision rule, any other by the
-    optimal fixed-booking recourse. A non-finite demand or cost in any draw
-    raises ``ValueError`` before any draw is priced.
+    optimal fixed-booking recourse. A non-finite demand or cost in any draw,
+    or a booking value that is negative or not finite, raises
+    ``ValueError`` before any draw is priced.
 
     The recourse problem is built once; each draw overwrites its demand
     cover (C3) bounds and purchase costs and re-solves it in HiGHS, a
@@ -94,6 +95,9 @@ def price_draws(inst, booking, ds, bs, relax=True, cfg=None):
                       for d, b in zip(ds, bs)])
     if not np.isfinite(draws).all():
         raise ValueError("a draw has a non-finite demand or cost")
+    x = booking.x if isinstance(booking, FirstStage) else booking
+    if not all(0.0 <= v < math.inf for v in x.values()):
+        raise ValueError("a booking is negative or not finite")
     if isinstance(booking, FirstStage) and booking.hull is not None:
         yield from (_price_m5(inst, booking, d, b) for d, b in draws)
         return
@@ -216,8 +220,7 @@ def compute_evpi(sp_value: float, ws_values, probs=None) -> float:
 
 
 def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
-                        seed: int, sigma: float = 0.2,
-                        cfg: SolverConfig | None = None):
+                        seed: int, sigma: float = 0.2):
     """SP optimum for increasing sampled scenario counts, as a list of
     ``(count, optimum)`` pairs.
 
@@ -244,14 +247,13 @@ def in_sample_stability(inst: Instance, scens: ScenarioSet, s_list,
     entries = []
     for n in s_list:
         sub = ScenarioSet(demands[:n], costs[:n], dest_ids=scens.dest_ids)
-        sol = solve_lp(build_sp(inst, sub, relax=True), cfg)
+        sol = solve_lp(build_sp(inst, sub, relax=True))
         entries.append((n, _objective_or_inf(sol)))
     return entries
 
 
 def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
-                           gamma, sigma: float, d_bar, b_bar,
-                           cfg: SolverConfig | None = None):
+                           gamma, sigma: float, d_bar, b_bar):
     """Aggregate recourse cost per method over ``n`` sampled realizations.
 
     ``first_stages`` maps method column -> {tau: FirstStage}; the aggregate is
@@ -276,7 +278,7 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
         total = 0.0
         for tau, fs in sorted(per_tau.items()):
             acc = 0.0
-            for cost in price_draws(inst, fs, ds, bs, True, cfg):
+            for cost in price_draws(inst, fs, ds, bs):
                 acc += cost
                 if math.isinf(acc):
                     break
@@ -288,7 +290,7 @@ def monte_carlo_validation(inst: Instance, first_stages, n: int, seed: int,
 
 
 def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
-                      d_bar, b_bar, cfg: SolverConfig | None = None):
+                      d_bar, b_bar):
     """Single extreme evaluation per method at demand d_bar (1 + gamma) and
     cost b_bar (1 + sigma), using each method's most informed booking (the
     largest tau), plus the wait-and-see cost of that scenario. Each booking
@@ -302,7 +304,7 @@ def stress_worst_case(inst: Instance, first_stages, gamma, sigma: float,
     out = {}
     for method, per_tau in first_stages.items():
         out[method] = next(price_draws(inst, per_tau[max(per_tau)],
-                                       [d_ext], [b_ext], True, cfg))
-    ws_sol = solve_lp(build_ws(inst, d_ext, b_ext, relax=True), cfg)
+                                       [d_ext], [b_ext]))
+    ws_sol = solve_lp(build_ws(inst, d_ext, b_ext, relax=True))
     out["ws"] = _objective_or_inf(ws_sol)
     return out

@@ -32,7 +32,7 @@ on the slack, ``u_l`` and the term only, never on the wide affine part, so
 the LP stays sparse. The first LP carries the axis cuts ``(a, b) =
 (+/-1, 0)`` and the uniform cut ``s - sum_l tau_l / sqrt(D) >= 0`` of the
 original cone; each round then measures every cone's violation at
-``t = T x`` against ``cone_tol`` and, in each violated cone, cuts every
+``t = T x`` against ``_CONE_TOL`` and, in each violated cone, cuts every
 term whose triple lies off its rotated cone at ``(a, b) = (2 tau_l,
 s - u_l) / ||.||``, which separates that triple. Cutting the D small cones
 instead of the aggregated norm closes m4 in fewer rounds.
@@ -61,6 +61,8 @@ from scipy.optimize._highspy import _core as _highs
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
 _MAX_SIMPLEX_ITERS = 200_000   # HiGHS's own limit is unbounded
+_CONE_TOL = 1e-6               # relative cone violation a solution may keep
+_MAX_CUT_ROUNDS = 200
 
 
 class Status(enum.Enum):
@@ -74,24 +76,19 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    """The limits callers set. Feasibility tolerances (primal and dual 1e-7,
-    integer 1e-6) and the absolute MIP gap (1e-6) are HiGHS's own defaults,
-    which every solve uses."""
+    """The limit callers set: the MIP node budget. Feasibility tolerances
+    (primal and dual 1e-7, integer 1e-6) and the absolute MIP gap (1e-6) are
+    HiGHS's own defaults, which every solve uses."""
 
-    cone_tol: float = 1e-6       # relative
     max_bb_nodes: int = 100_000
-    max_cut_rounds: int = 200
 
     def __post_init__(self):
-        if not 0 < self.cone_tol < math.inf:
-            raise ValueError("cone_tol must be finite and > 0")
-        for name in ("max_bb_nodes", "max_cut_rounds"):
-            try:
-                valid = operator.index(getattr(self, name)) >= 0
-            except TypeError:   # not an integer: NaN, 2.5, "3"
-                valid = False
-            if not valid:
-                raise ValueError(f"{name} must be an integer >= 0")
+        try:
+            valid = operator.index(self.max_bb_nodes) >= 0
+        except TypeError:   # not an integer: NaN, 2.5, "3"
+            valid = False
+        if not valid:
+            raise ValueError("max_bb_nodes must be an integer >= 0")
 
 
 @dataclass
@@ -222,10 +219,10 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     bound within ``cfg.max_bb_nodes`` nodes, its values rounded onto the
     lattice. The relative gap is off, so HiGHS's default absolute gap (1e-6)
     governs termination. With cone rows (continuous only) it is the cut loop
-    within ``cfg.max_cut_rounds`` rounds and ``cfg.cone_tol``."""
+    within ``_MAX_CUT_ROUNDS`` rounds and ``_CONE_TOL``."""
     cfg = cfg or SolverConfig()
     if p.cones:
-        sol, x = _cut_loop(p, cfg)
+        sol, x = _cut_loop(p)
     else:
         sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
                               max_bb_nodes=cfg.max_bb_nodes)
@@ -237,7 +234,7 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
                    values=values)
 
 
-def _cut_loop(p: LinearProblem, cfg: SolverConfig):
+def _cut_loop(p: LinearProblem):
     """The cut loop of the module docstring on ``p``. Returns ``(solution,
     x)`` as ``run_highs`` does, ``x`` over the problem's variables only."""
     if any(p.integer):
@@ -304,12 +301,12 @@ def _cut_loop(p: LinearProblem, cfg: SolverConfig):
         if liftable:
             upper = min(upper, lp.objective + cost[j] * max(0.0, excess.max()))
         # the origin is covered by the axis cuts
-        violated = (rel > cfg.cone_tol) & (nrm > 0.0)
+        violated = (rel > _CONE_TOL) & (nrm > 0.0)
         tau, s, u = scale[owner] * t, x[n:n + k][owner], x[n + k:]
         r = np.hypot(2.0 * tau, s - u)   # > s + u off the rotated cone
         ls = np.flatnonzero(violated[owner] & (r > s + u))
         # a violated cone whose triples all lie on their cones has no cut
-        if not ls.size or rounds > cfg.max_cut_rounds:
+        if not ls.size or rounds > _MAX_CUT_ROUNDS:
             status = Status.CUT_LIMIT if violated.any() else Status.OPTIMAL
             return replace(lp, status=status, gap=upper - lp.objective,
                            cone_residual=float(rel.max(initial=0.0)),

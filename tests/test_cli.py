@@ -149,14 +149,22 @@ def test_omega_epsilon_mutually_exclusive(data_dir, tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["solve", "--model", "sp"], ["compare", "--methods", "m1"]],
-    ids=["solve", "compare"])
-@pytest.mark.parametrize("flags, error", [
-    (["--omega", "1", "--epsilon", "0.1"],
-     "--omega and --epsilon are mutually exclusive"),
-    (["--epsilon", "1.5"], "epsilon must lie in (0, 1)")],
-    ids=["both", "epsilon-range"])
+NO_CONE_MODEL = {"solve": ["solve", "--model", "sp"],
+                 "compare": ["compare", "--methods", "m1"],
+                 "montecarlo": ["montecarlo", "--methods", "m1", "--n", "2"]}
+BAD_RADIUS = [
+    ("both", ["--omega", "1", "--epsilon", "0.1"],
+     "--omega and --epsilon are mutually exclusive", ("solve", "compare")),
+    ("epsilon-range", ["--epsilon", "1.5"], "epsilon must lie in (0, 1)",
+     ("solve", "compare")),
+    *((f"omega-{value}", ["--omega", value],
+       "cone scale must be finite and >= 0", tuple(NO_CONE_MODEL))
+      for value in ("-1", "nan", "inf"))]
+
+
+@pytest.mark.parametrize("command, flags, error", [
+    pytest.param(NO_CONE_MODEL[name], flags, error, id=f"{case}-{name}")
+    for case, flags, error, names in BAD_RADIUS for name in names])
 def test_radius_flags_are_checked_without_a_cone_model(
         data_dir, tmp_path, capsys, command, flags, error):
     rc = main(command + flags + _common(data_dir, tmp_path))

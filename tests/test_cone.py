@@ -29,7 +29,7 @@ def test_matches_euclidean_norm(cfg):
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(10.0, rel=1e-5)
-    assert sol.cone_residual <= cfg.cone_tol
+    assert sol.cone_residual <= linprog._CONE_TOL
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -42,12 +42,13 @@ def test_higher_dimension_norm(point, omega):
                                           rel=1e-5, abs=1e-9)
 
 
-def test_reports_rounds_and_simplex_iterations(cfg):
+def test_reports_rounds_and_simplex_iterations(cfg, monkeypatch):
     p = _norm_problem([1.0, 2.0, -2.0, 4.0, 0.5], omega=1.0)
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.lp_rounds >= 1 and sol.simplex_iters > 0
-    capped = sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=1))
+    monkeypatch.setattr(linprog, "_MAX_CUT_ROUNDS", 1)
+    capped = sp.solve_lp(p, cfg)
     assert 1 <= capped.lp_rounds <= 2
 
 
@@ -98,7 +99,7 @@ def test_affine_part_over_several_variables(cfg):
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(3.0 - 6.0 + 1.5 * 5.0, rel=1e-5)
-    assert sol.cone_residual <= cfg.cone_tol
+    assert sol.cone_residual <= linprog._CONE_TOL
 
 
 def test_values_hold_the_problem_variables_only(cfg):
@@ -168,7 +169,7 @@ def test_solve_lp_reaches_the_cone_optimum_of_m3_and_m4(cfg):
         sol = sp.solve_lp(p, cfg)
         assert sol.optimal and sol.lp_rounds >= 1
         assert sol.objective == pytest.approx(optimum, rel=1e-9)
-        assert sol.cone_residual <= cfg.cone_tol
+        assert sol.cone_residual <= linprog._CONE_TOL
         assert _worst_violation(p, sol.values) <= 1e-6 * abs(optimum)
 
 
@@ -199,7 +200,7 @@ def test_m4_closes_in_few_rounds(cfg):
     p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal and sol.lp_rounds <= 12
-    assert 0.0 < sol.gap <= cfg.cone_tol * abs(sol.objective)
+    assert 0.0 < sol.gap <= linprog._CONE_TOL * abs(sol.objective)
 
 
 def test_cone_solves_report_their_gap(cfg):
@@ -212,27 +213,30 @@ def test_cone_solves_report_their_gap(cfg):
               sp.build_trsocp(inst, scens, box, 2.75)):
         sol = sp.solve_lp(p, cfg)
         assert sol.optimal
-        assert 0.0 <= sol.gap <= cfg.cone_tol * abs(sol.objective)
+        assert 0.0 <= sol.gap <= linprog._CONE_TOL * abs(sol.objective)
 
 
-def test_gap_keeps_the_best_lifted_point():
+def test_gap_keeps_the_best_lifted_point(monkeypatch):
     """The lifted bound rises in this m4's third round, so each solve keeps
     the best one: objective + gap never rises as the round budget grows."""
     inst = sp.gen_instance(8, 6, seed=1)
     scens = sp.gen_scenarios(inst, 16, seed=2)
     p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
-    upper = [sol.objective + sol.gap for sol in
-             (sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=cap))
-              for cap in range(4))]
+    upper = []
+    for cap in range(4):
+        monkeypatch.setattr(linprog, "_MAX_CUT_ROUNDS", cap)
+        sol = sp.solve_lp(p)
+        upper.append(sol.objective + sol.gap)
     for before, after in zip(upper, upper[1:]):
         assert after <= before * (1.0 + 1e-12)
 
 
-def test_gap_lifts_the_epigraph_or_is_inf(cfg):
+def test_gap_lifts_the_epigraph_or_is_inf(cfg, monkeypatch):
     # the initial cuts give w = 7 / sqrt(2); raising w to ||(3, 4)|| = 5
     # lifts the point onto the cone
-    capped = sp.solve_lp(_norm_problem([3.0, 4.0], omega=1.0),
-                         sp.SolverConfig(max_cut_rounds=0))
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "_MAX_CUT_ROUNDS", 0)
+        capped = sp.solve_lp(_norm_problem([3.0, 4.0], omega=1.0), cfg)
     assert capped.gap == pytest.approx(5.0 - 7.0 / math.sqrt(2.0), rel=1e-9)
     bounded = _norm_problem([3.0, 4.0], omega=1.0)
     bounded.ub[0] = 100.0                      # w <= 100
@@ -267,21 +271,22 @@ def test_objective_nondecreasing_in_omega(cfg):
         assert hi >= lo - 1e-7
 
 
-def test_outer_approximation_is_a_lower_bound(cfg):
+def test_outer_approximation_is_a_lower_bound(cfg, monkeypatch):
     # with a coarse cut budget the OA value must not exceed the true optimum
-    loose = sp.SolverConfig(max_cut_rounds=1)
+    monkeypatch.setattr(linprog, "_MAX_CUT_ROUNDS", 1)
     p = _norm_problem([3.0, 4.0, 5.0], omega=1.0)
-    sol = sp.solve_lp(p, loose)
+    sol = sp.solve_lp(p, cfg)
     true = float(np.linalg.norm([3.0, 4.0, 5.0]))
     assert sol.objective <= true + 1e-9
     if sol.status is Status.CUT_LIMIT:
         assert sol.cone_residual > 0
 
 
-def test_cut_limit_status():
+def test_cut_limit_status(cfg, monkeypatch):
     # min ||x|| over sum_i i x_i >= 10: x is free, so each round's cut moves
     # the point and one round cannot close the cone
-    cfg = sp.SolverConfig(max_cut_rounds=1, cone_tol=1e-12)
+    monkeypatch.setattr(linprog, "_MAX_CUT_ROUNDS", 1)
+    monkeypatch.setattr(linprog, "_CONE_TOL", 1e-12)
     p = sp.LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
     for i in range(8):
@@ -290,7 +295,7 @@ def test_cut_limit_status():
     p.add_cone(ConeRow("w", {}, [{f"x{i}": 1.0} for i in range(8)], scale=1.0))
     sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 2
-    assert sol.cone_residual > cfg.cone_tol
+    assert sol.cone_residual > linprog._CONE_TOL
     assert sol.objective <= 10.0 / math.sqrt(204.0)  # 204 = sum_i i^2
 
 
@@ -321,11 +326,12 @@ def test_negative_scale_rejected():
             ConeRow("w", {}, [{"x": 1.0}], scale=scale)
 
 
-def test_residual_is_relative():
+def test_residual_is_relative(cfg, monkeypatch):
     # the initial cuts give w = (3 + 4) / sqrt(2) < ||(3, 4)|| = 5; the
     # residual divides the violation by max(1, ||t||) = 5
+    monkeypatch.setattr(linprog, "_MAX_CUT_ROUNDS", 0)
     p = _norm_problem([3.0, 4.0], omega=1.0)
-    sol = sp.solve_lp(p, sp.SolverConfig(max_cut_rounds=0))
+    sol = sp.solve_lp(p, cfg)
     assert sol.status is Status.CUT_LIMIT and sol.lp_rounds == 1
     assert sol.cone_residual == pytest.approx((5.0 - 7.0 / math.sqrt(2.0)) / 5.0,
                                               rel=1e-9)

@@ -409,25 +409,34 @@ def test_price_draws_rejects_unequal_draw_counts(monkeypatch):
                 list(sp.price_draws(inst, booking, ds, [[8.0, 9.0]], relax))
 
 
-NON_FINITE_DRAWS = {
-    "nan cost": ([[60.0, 40.0]], [[math.nan, 9.0]]),
-    "inf cost in draw 2": ([[60.0, 40.0]] * 2, [[8.0, 9.0], [8.0, math.inf]]),
-    "nan demand in draw 2": ([[60.0, 40.0], [math.nan, 40.0]],
+ARC = ("s1", "p1", "d1")
+# (booking, demands, costs); a negative booking used to price cheaper than
+# booking nothing, a nan one as nan
+BAD_PRICING_INPUTS = {
+    "nan cost": (BOOKING, [[60.0, 40.0]], [[math.nan, 9.0]]),
+    "inf cost in draw 2": (BOOKING, [[60.0, 40.0]] * 2,
+                           [[8.0, 9.0], [8.0, math.inf]]),
+    "nan demand in draw 2": (BOOKING, [[60.0, 40.0], [math.nan, 40.0]],
                              [[8.0, 9.0]] * 2),
+    "negative booking": ({**BOOKING, ARC: -5.0}, [[60.0, 40.0]], [[8.0, 9.0]]),
+    "nan booking": ({**BOOKING, ARC: math.nan}, [[60.0, 40.0]], [[8.0, 9.0]]),
+    "inf booking": ({**BOOKING, ARC: math.inf}, [[60.0, 40.0]], [[8.0, 9.0]]),
 }
 
 
-@pytest.mark.parametrize("case", NON_FINITE_DRAWS)
+@pytest.mark.parametrize("case", BAD_PRICING_INPUTS)
 def test_price_draws_rejects_non_finite_draws(monkeypatch, case):
     inst = _minimum_and_stock()
-    ds, bs = NON_FINITE_DRAWS[case]
+    x, ds, bs = BAD_PRICING_INPUTS[case]
+    error = ("booking is negative or not finite" if x is not BOOKING
+             else "non-finite demand or cost")
     # no draw may be priced
     monkeypatch.setattr(framework, "run_highs", None)
     monkeypatch.setattr(framework, "_price_m5", None)
-    m5 = sp.FirstStage(BOOKING, hull=(np.zeros((1, 2)), None))
-    for booking in (BOOKING, m5):
+    m5 = sp.FirstStage(x, hull=(np.zeros((1, 2)), None))
+    for booking in (x, m5):
         for relax in (True, False):
-            with pytest.raises(ValueError, match="non-finite demand or cost"):
+            with pytest.raises(ValueError, match=error):
                 next(sp.price_draws(inst, booking, ds, bs, relax))
 
 

@@ -209,20 +209,10 @@ def test_matches_vertex_enumeration_on_random_lps(cfg):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        sp.SolverConfig(cone_tol=0.0)
-    with pytest.raises(ValueError):
-        sp.SolverConfig(cone_tol=-1e-9)
-    with pytest.raises(ValueError):
-        sp.SolverConfig(cone_tol=math.nan)
-    with pytest.raises(ValueError):
-        sp.SolverConfig(cone_tol=math.inf)
     for bad in (-5, math.nan, 2.5):
         with pytest.raises(ValueError, match="integer >= 0"):
-            sp.SolverConfig(max_cut_rounds=bad)
-        with pytest.raises(ValueError, match="integer >= 0"):
             sp.SolverConfig(max_bb_nodes=bad)
-    assert sp.SolverConfig(max_cut_rounds=0).max_cut_rounds == 0
+    assert sp.SolverConfig(max_bb_nodes=0).max_bb_nodes == 0
 
 
 def test_highs_defaults_are_the_documented_tolerances():
