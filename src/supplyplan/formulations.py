@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linprog import ConeRow, LinearProblem, Solution
-from .model import (ArcKey, Instance, _as_demand, booking_cost,
+from .linprog import LinearProblem, Rows, Solution
+from .model import (ArcKey, Instance, _as_draws, booking_cost,
                     first_stage_rows, second_stage_rows, x_name, y_name,
                     z_name)
 from .uncertainty import BoxParams, ScenarioSet
@@ -45,30 +45,27 @@ def extract_first_stage(inst: Instance, sol: Solution) -> FirstStage:
     return FirstStage(x=x)
 
 
-def _cost(inst: Instance, b, tag=None, weight: float = 1.0) -> dict[str, float]:
-    """Coefficients of ``weight * f(x, y, z; b)`` for the recourse block
-    ``tag``: booking net of the full refund, the refund given back on used
-    vehicles, and purchases at cost ``b`` (a vector in destination order)."""
-    coeffs = {}
-    for a in inst.arcs:
-        coeffs[x_name(a)] = weight * inst.q * a.t * (1.0 - inst.alpha)
-        coeffs[z_name(a, tag)] = weight * inst.alpha * inst.q * a.t
-    for dest, b_j in zip(inst.destinations, _as_demand(inst, b)):
-        coeffs[y_name(dest.id, tag)] = weight * inst.q * b_j
-    return coeffs
+def _cost(inst: Instance, costs, weights):
+    """Coefficients of ``weights[s] * f(x, y^s, z^s; costs[s])``, one row
+    per cost vector (in destination order), on the columns a block's
+    ``second_stage_rows`` returns: booking net of the full refund (x), the
+    refund given back on used vehicles (z^s), and purchases (y^s)."""
+    w = np.asarray(weights, dtype=float)[:, None]
+    t = np.array([a.t for a in inst.arcs])
+    return np.hstack([w * inst.q * t * (1.0 - inst.alpha),
+                      w * inst.alpha * inst.q * t,
+                      w * inst.q * _as_draws(inst, costs)])
 
 
 def _expected_cost(inst: Instance, demands, costs, probs, relax: bool,
                    tags) -> LinearProblem:
     """Expected cost: the first stage plus one recourse block ``tags[s]``
     per scenario, each adding ``probs[s] * f(x, y^s, z^s; costs[s])`` to the
-    objective."""
+    objective, scenario by scenario."""
     p = LinearProblem()
     first_stage_rows(p, inst, relax)
-    for d, b, prob, tag in zip(demands, costs, probs, tags):
-        second_stage_rows(p, inst, d, relax, tag=tag)
-        for name, c in _cost(inst, b, tag, float(prob)).items():
-            p.add_obj(name, c)
+    cols = second_stage_rows(p, inst, demands, relax, tags)
+    p.add_costs(cols.ravel(), _cost(inst, costs, probs).ravel())
     return p
 
 
@@ -78,14 +75,16 @@ def _worst_cost(inst: Instance, demands, box: BoxParams, omega: float,
     block ``tags[s]`` per demand, each with the cost cone row
     w - f(x, y^s, z^s; b_nominal) >= omega * ||q b_dev . y^s||."""
     p = LinearProblem()
-    p.add_var("w", obj=1.0, lb=None)
+    w = p.add_vars(["w"], obj=1.0, lb=-np.inf)
     first_stage_rows(p, inst, True)
-    for d, tag in zip(demands, tags):
-        second_stage_rows(p, inst, d, True, tag=tag)
-        terms = [{y_name(dest.id, tag): inst.q * float(dev)}
-                 for dest, dev in zip(inst.destinations, box.b_dev)]
-        p.add_cone(ConeRow("w", _cost(inst, box.b_nominal, tag), terms,
-                           scale=float(omega)))
+    cols = second_stage_rows(p, inst, demands, True, tags)
+    (S, n), D = cols.shape, len(inst.destinations)
+    affine = _cost(inst, [box.b_nominal], [1.0])[0]
+    p.add_cones(np.full(S, w),
+                Rows(np.full(S, n), cols.ravel(), np.tile(affine, S)),
+                Rows(np.ones(S * D), cols[:, n - D:].ravel(),   # y^s
+                     np.tile(inst.q * box.b_dev, S)),
+                np.full(S, D), np.full(S, float(omega)))
     return p
 
 
@@ -136,10 +135,9 @@ def build_recourse(inst: Instance, x_star, d, b,
         x_star = x_star.x
     x_star = dict(x_star)
     p = LinearProblem()
-    second_stage_rows(p, inst, d, relax, booking=x_star)
-    cost = _cost(inst, b)
-    for name in p.var_names:
-        p.add_obj(name, cost[name])
+    cols = second_stage_rows(p, inst, [d], relax, [None], booking=x_star)
+    A = len(inst.arcs)   # no x: the booking is fixed
+    p.add_costs(cols[0, A:], _cost(inst, [b], [1.0])[0, A:])
     p.objective_offset = (1.0 - inst.alpha) * booking_cost(inst, x_star)
     return p
 

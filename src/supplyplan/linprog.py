@@ -1,8 +1,12 @@
 """Linear problem container and the one solve of every problem it holds.
 
-A problem reaches HiGHS in one form, ``lo <= A x <= hi`` with column bounds
-(``_row_form``), through one function, ``run_highs``, which calls scipy's
-bundled HiGHS binding, for an LP and, given integrality marks, for a MIP.
+A problem keeps its columns as arrays and its rows and cone rows in index
+form (:class:`Rows`: row lengths, column indices, values), appended a block
+at a time with one check per block. It reaches HiGHS in one form, ``lo <= A
+x <= hi`` with column bounds, which ``_row_form`` makes by one
+``csr_matrix`` call on the stored arrays, through one function,
+``run_highs``, which calls scipy's bundled HiGHS binding, for an LP and,
+given integrality marks, for a MIP.
 ``solve_lp`` solves any problem: one without cone rows by one cold
 ``run_highs`` call with the problem's marks, so it runs the LP or the MIP the
 problem is; one with cone rows by the cut loop below. The two loops that
@@ -14,12 +18,12 @@ one draw to the next.
 A cone row (:class:`ConeRow`) encodes ``epi - affine >= scale * ||(terms)||_2``
 (membership of ``(epi - affine)/scale`` and the term vector in the Lorentz
 cone), and the cut loop solves it by outer approximation. It works on two
-sparse matrices over the problem's variables: ``E``, one row
-``epi - affine`` per cone, and ``T``, the terms of every cone of positive
-scale stacked, each term knowing its cone and that cone's scale. Every cone
-is lifted onto a slack ``0 <= s <= E_i x`` (one linear row). A cone with
-scale 0 or no terms has no term in ``T``, so it is never violated, as
-``E_i x >= s >= 0``, and never cut.
+sparse matrices over the problem's variables, read from the stored cone
+rows: ``E``, one row ``epi - affine`` per cone, and ``T``, the terms of
+every cone of positive scale stacked, each term knowing its cone and that
+cone's scale. Every cone is lifted onto a slack ``0 <= s <= E_i x`` (one
+linear row). A cone with scale 0 or no terms has no term in ``T``, so it is
+never violated, as ``E_i x >= s >= 0``, and never cut.
 
 The cone is cut in its extended, disaggregated form (Vielma, Dunning,
 Huchette and Lubin, Math. Prog. Comp. 9, 2017): each scaled term
@@ -52,6 +56,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,73 +123,164 @@ class ConeRow:
             raise ValueError("cone scale must be finite and >= 0")
 
 
+class Rows:
+    """Sparse rows in index form: row i holds the next ``lens[i]`` entries of
+    ``cols`` (column indices) and ``vals``."""
+
+    def __init__(self, lens=(), cols=(), vals=()):
+        self.lens = np.asarray(lens, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.vals = np.asarray(vals, dtype=float)
+
+    def __add__(self, other: Rows) -> Rows:   # the rows of both, in order
+        return Rows(*(np.concatenate([getattr(self, f), getattr(other, f)])
+                      for f in ("lens", "cols", "vals")))
+
+    def __getitem__(self, rows) -> Rows:
+        """The rows a slice or boolean mask picks, in order."""
+        picked = np.zeros(self.lens.size, dtype=bool)
+        picked[rows] = True
+        entries = np.repeat(picked, self.lens)
+        return Rows(self.lens[picked], self.cols[entries], self.vals[entries])
+
+    def csr(self, n: int) -> sp.csr_matrix:
+        indptr = np.concatenate([[0], np.cumsum(self.lens)])
+        return sp.csr_matrix((self.vals, self.cols, indptr),
+                             shape=(self.lens.size, n))
+
+
 class LinearProblem:
     """Minimization problem over named variables with sparse linear rows and
-    second-order cone rows.
+    second-order cone rows, stored in index form.
 
-    Variables default to lower bound 0 and no upper bound. Rows are
-    ``(coeffs, relation, rhs)`` with ``coeffs`` a name -> value map; cone
-    rows are :class:`ConeRow` objects.
+    Columns are arrays: costs ``obj``, bounds ``lb`` and ``ub`` (``-inf``
+    and ``inf`` where unbounded) and ``integer`` marks. Row i is ``lo[i] <=
+    A_i x <= hi[i]``, ``A`` a :class:`Rows`. Cone i is ``x[epi[i]] -
+    affine_i x >= scale[i] ||T_i x||``, ``T_i`` its ``n_terms[i]`` rows of
+    ``terms``. The block appends (``add_vars``, ``add_rows``, ``add_costs``,
+    ``add_cones``) take arrays and check each block at once; ``add_var``,
+    ``add_row``, ``add_obj`` and ``add_cone`` take name -> value maps and
+    convert them on entry, as ``indexed`` does for many rows at once.
     """
 
     def __init__(self):
         self.var_names: list[str] = []
         self._index: dict[str, int] = {}
-        self.obj: list[float] = []
-        self.lb: list[float | None] = []
-        self.ub: list[float | None] = []
-        self.integer: list[bool] = []
-        self.rows: list[tuple[dict[str, float], str, float]] = []
-        self.cones: list[ConeRow] = []
+        self.obj, self.lb, self.ub = np.zeros(0), np.zeros(0), np.zeros(0)
+        self.integer = np.zeros(0, dtype=bool)
+        self.A, self.lo, self.hi = Rows(), np.zeros(0), np.zeros(0)
+        self.epi = self.n_terms = np.zeros(0, dtype=np.int64)
+        self.scale, self.affine, self.terms = np.zeros(0), Rows(), Rows()
         self.objective_offset: float = 0.0
 
-    # -- construction ------------------------------------------------------
+    def _grow(self, **blocks):
+        for name, block in blocks.items():
+            old = getattr(self, name)
+            setattr(self, name, old + block if isinstance(old, Rows)
+                    else np.concatenate([old, block]))
+
+    def _check(self, rows: Rows, what: str):
+        if not rows.lens.sum() == rows.cols.size == rows.vals.size:
+            raise ValueError(f"{what} lengths, columns and values disagree")
+        if rows.cols.size and not (0 <= rows.cols.min()
+                                   and rows.cols.max() < self.num_vars):
+            raise ValueError(f"{what} references an undeclared column")
+        bad = ~np.isfinite(rows.vals)
+        if bad.any():
+            name = self.var_names[rows.cols[np.argmax(bad)]]
+            raise ValueError(f"non-finite coefficient on {name!r}")
+
+    def add_vars(self, names, obj=0.0, lb=0.0, ub=math.inf,
+                 integer=False) -> int:
+        """Declare the variables ``names``; each other argument is a scalar
+        or one entry per name. Returns the first new column."""
+        n, first = len(names), self.num_vars
+        obj, lb, ub, integer = (np.broadcast_to(np.asarray(v, dtype=t), (n,))
+                                for v, t in ((obj, float), (lb, float),
+                                             (ub, float), (integer, bool)))
+        for bad, what in ((~np.isfinite(obj), "non-finite objective "
+                           "coefficient for {}"),
+                          (~(lb < math.inf), "lb of {} is nan or inf"),
+                          (~(ub > -math.inf), "ub of {} is nan or -inf"),
+                          (lb > ub, "lb > ub for {}")):
+            if bad.any():
+                raise ValueError(what.format(repr(names[np.argmax(bad)])))
+        self._index.update(zip(names, range(first, first + n)))
+        if len(self._index) != first + n:
+            self._index = dict(zip(self.var_names, range(first)))
+            counts = Counter([*self.var_names, *names])
+            raise ValueError(
+                f"duplicate variable {max(counts, key=counts.get)!r}")
+        self.var_names.extend(names)
+        self._grow(obj=obj, lb=lb, ub=ub, integer=integer)
+        return first
+
+    def add_rows(self, rows: Rows, lo, hi):
+        """Append the rows ``lo <= rows x <= hi``; each needs a finite bound
+        and no NaN."""
+        self._check(rows, "row")
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), rows.lens.shape)
+                  for v in (lo, hi))
+        if not ((lo < math.inf) & (hi > -math.inf)
+                & (np.isfinite(lo) | np.isfinite(hi))).all():
+            raise ValueError("non-finite right hand side")
+        self._grow(A=rows, lo=lo, hi=hi)
+
+    def add_costs(self, cols, vals):
+        """Add ``vals[i]`` to the cost of column ``cols[i]``, in order."""
+        costs = Rows([len(cols)], cols, vals)
+        self._check(costs, "objective")
+        np.add.at(self.obj, costs.cols, costs.vals)
+
+    def add_cones(self, epi, affine: Rows, terms: Rows, n_terms, scale):
+        """Append the cones ``x[epi[i]] - affine_i x >= scale[i] ||T_i x||``,
+        ``T_i`` the next ``n_terms[i]`` rows of ``terms``."""
+        scale = np.asarray(scale, dtype=float)
+        if not ((0.0 <= scale) & (scale < math.inf)).all():
+            raise ValueError("cone scale must be finite and >= 0")
+        for rows in (Rows(np.ones(len(epi)), epi, np.ones(len(epi))), affine,
+                     terms):
+            self._check(rows, "cone row")
+        self._grow(epi=epi, affine=affine, terms=terms, n_terms=n_terms,
+                   scale=scale)
+
+    def columns(self, names, what: str = "row") -> np.ndarray:
+        """The columns of ``names``, which must all be declared."""
+        try:
+            return np.array([self._index[v] for v in names], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"{what} references undeclared variable "
+                             f"{exc.args[0]!r}") from None
+
+    def indexed(self, maps, what: str = "row") -> Rows:
+        """Name -> value maps as rows over this problem's columns."""
+        return Rows([len(c) for c in maps],
+                    self.columns([name for c in maps for name in c], what),
+                    [v for c in maps for v in c.values()])
 
     def add_var(self, name: str, obj: float = 0.0, lb: float | None = 0.0,
                 ub: float | None = None, integer: bool = False) -> str:
         """Declare a variable; ``lb=None`` makes it free below."""
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name!r}")
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite objective coefficient for {name!r}")
-        if lb is not None and not lb < math.inf:
-            raise ValueError(f"lb of {name!r} is nan or inf")
-        if ub is not None and not ub > -math.inf:
-            raise ValueError(f"ub of {name!r} is nan or -inf")
-        if lb is not None and ub is not None and lb > ub:
-            raise ValueError(f"lb > ub for {name!r}")
-        self._index[name] = len(self.var_names)
-        self.var_names.append(name)
-        self.obj.append(float(obj))
-        self.lb.append(None if lb is None else float(lb))
-        self.ub.append(None if ub is None else float(ub))
-        self.integer.append(bool(integer))
+        self.add_vars([name], obj, -math.inf if lb is None else lb,
+                      math.inf if ub is None else ub, integer)
         return name
 
     def add_obj(self, name: str, coeff: float):
-        self._check({name: coeff}, "objective")
-        self.obj[self._index[name]] += float(coeff)
-
-    def _check(self, coeffs: dict[str, float], what: str):
-        for name, c in coeffs.items():
-            if name not in self._index:
-                raise ValueError(f"{what} references undeclared variable {name!r}")
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient on {name!r}")
+        costs = self.indexed([{name: coeff}], "objective")
+        self.add_costs(costs.cols, costs.vals)
 
     def add_row(self, coeffs: dict[str, float], relation: str, rhs: float):
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        self._check(coeffs, "row")
-        if not math.isfinite(rhs):
-            raise ValueError("non-finite right hand side")
-        self.rows.append((dict(coeffs), relation, float(rhs)))
+        self.add_rows(self.indexed([coeffs]),
+                      -math.inf if relation == LE else rhs,
+                      math.inf if relation == GE else rhs)
 
     def add_cone(self, cone: ConeRow):
-        for coeffs in ({cone.epigraph_var: 1.0}, cone.affine_part,
-                       *cone.cone_terms):
-            self._check(coeffs, "cone row")
-        self.cones.append(cone)
+        epi = self.indexed([{cone.epigraph_var: 1.0}], "cone row")
+        self.add_cones(epi.cols, self.indexed([cone.affine_part], "cone row"),
+                       self.indexed(cone.cone_terms, "cone row"),
+                       [len(cone.cone_terms)], [cone.scale])
 
     @property
     def num_vars(self) -> int:
@@ -192,25 +288,10 @@ class LinearProblem:
 
 
 def _row_form(p: LinearProblem):
-    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``,
-    one row of ``A`` per row of ``p``, in order."""
-    A = rows_to_csr(p, [coeffs for coeffs, _, _ in p.rows])
-    lo = np.array([-np.inf if rel == LE else b for _, rel, b in p.rows])
-    hi = np.array([np.inf if rel == GE else b for _, rel, b in p.rows])
-    col_lo = np.array([-np.inf if lb is None else lb for lb in p.lb])
-    col_hi = np.array([np.inf if ub is None else ub for ub in p.ub])
-    return np.array(p.obj), A, lo, hi, col_lo, col_hi
-
-
-def rows_to_csr(p: LinearProblem, rows) -> sp.csr_matrix:
-    """Coefficient maps over the variables of ``p`` as a sparse matrix."""
-    indptr, indices, data = [0], [], []
-    for coeffs in rows:
-        indices.extend(map(p._index.__getitem__, coeffs))
-        data.extend(coeffs.values())
-        indptr.append(len(indices))
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(len(rows), p.num_vars))
+    """``p`` as ``c, A, lo, hi, col_lo, col_hi`` with ``lo <= A x <= hi``:
+    copies of the stored arrays, and ``A`` one ``csr_matrix`` call."""
+    return (p.obj.copy(), p.A.csr(p.num_vars), p.lo.copy(), p.hi.copy(),
+            p.lb.copy(), p.ub.copy())
 
 
 def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
@@ -221,7 +302,7 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
     governs termination. With cone rows (continuous only) it is the cut loop
     within ``_MAX_CUT_ROUNDS`` rounds and ``_CONE_TOL``."""
     cfg = cfg or SolverConfig()
-    if p.cones:
+    if p.epi.size:
         sol, x = _cut_loop(p)
     else:
         sol, x, _ = run_highs(*_row_form(p), integrality=p.integer,
@@ -237,25 +318,23 @@ def solve_lp(p: LinearProblem, cfg: SolverConfig | None = None) -> Solution:
 def _cut_loop(p: LinearProblem):
     """The cut loop of the module docstring on ``p``. Returns ``(solution,
     x)`` as ``run_highs`` does, ``x`` over the problem's variables only."""
-    if any(p.integer):
+    if p.integer.any():
         raise ValueError("cone problems are solved in continuous variables only")
 
     cost, A, lo, hi, col_lo, col_hi = _row_form(p)
     n = p.num_vars
-    k = len(p.cones)
-    E = (rows_to_csr(p, [{c.epigraph_var: 1.0} for c in p.cones])
-         - rows_to_csr(p, [c.affine_part for c in p.cones]))
+    scale, k = p.scale, p.scale.size
+    E = Rows(np.ones(k), p.epi, np.ones(k)).csr(n) - p.affine.csr(n)
     # a scale-0 cone keeps no terms: its rows would all read s >= 0
-    terms = [c.cone_terms if c.scale > 0.0 else [] for c in p.cones]
-    T = rows_to_csr(p, [term for ts in terms for term in ts])
-    sizes = np.array([len(ts) for ts in terms], dtype=int)
+    live = scale > 0.0
+    T = p.terms[np.repeat(live, p.n_terms)].csr(n)
+    sizes = np.where(live, p.n_terms, 0)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     owner = np.repeat(np.arange(k), sizes)     # term -> its cone
     L = len(owner)
-    scale = np.array([c.scale for c in p.cones])
     term_scale = sp.diags(scale[owner])
     # raising one shared epigraph w raises every E_i x alone, at cost c_w v
-    j = p._index[p.cones[0].epigraph_var]
+    j = p.epi[0]
     liftable = (cost[j] >= 0.0 and col_hi[j] == np.inf and j not in A.indices
                 and T[:, [j]].nnz == 0 and (E[:, [j]].toarray() == 1.0).all())
 

@@ -6,6 +6,10 @@ then decides how many booked vehicles to actually use (``z``) and how much
 product to buy externally in vehicle-equivalents (``y``). An unused booked
 vehicle is refunded the fraction ``alpha`` of its transportation cost, so its
 net cost is ``(1 - alpha) * q * t``.
+
+The rows of the first stage and of one recourse block are written once per
+instance, row by row (``_template``); the builders copy them in index form,
+the block once per scenario with its own columns and demand.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .linprog import LinearProblem
+from .linprog import LinearProblem, Rows
 
 ArcKey = tuple[str, str, str]  # (supplier, plant, destination)
 
@@ -112,6 +117,11 @@ class Instance:
     def arcs_from(self, supplier_id: str) -> list[Arc]:
         return [a for a in self.arcs if a.supplier == supplier_id]
 
+    @cached_property
+    def _template(self):
+        """The template the builders copy (``_template``), made once."""
+        return _template(self)
+
     def b_bar_vector(self) -> np.ndarray:
         return np.array([d.b_bar for d in self.destinations])
 
@@ -180,27 +190,33 @@ class Instance:
 
 # -- variable naming -------------------------------------------------------
 
+def _prefix(kind: str, tag) -> str:
+    return f"{kind}[" if tag is None else f"{kind}[{tag},"
+
 def x_name(arc: Arc) -> str:
     return f"x[{arc.plant},{arc.supplier},{arc.dest}]"
 
 def z_name(arc: Arc, tag=None) -> str:
-    if tag is None:
-        return f"z[{arc.plant},{arc.supplier},{arc.dest}]"
-    return f"z[{tag},{arc.plant},{arc.supplier},{arc.dest}]"
+    return _prefix("z", tag) + f"{arc.plant},{arc.supplier},{arc.dest}]"
 
 def y_name(dest_id: str, tag=None) -> str:
-    return f"y[{dest_id}]" if tag is None else f"y[{tag},{dest_id}]"
+    return _prefix("y", tag) + f"{dest_id}]"
 
 
 # -- cost functions --------------------------------------------------------
 
+def _as_draws(inst: Instance, ds) -> np.ndarray:
+    """Demand or cost draws as an S x D array in destination order."""
+    ds = np.asarray(ds, dtype=float)
+    if ds.ndim != 2 or ds.shape[1] != len(inst.destinations):
+        raise ValueError("demand or cost vector has wrong dimension")
+    return ds
+
+
 def _as_demand(inst: Instance, d) -> list[float]:
     """A demand or cost draw as floats in the instance's destination
     order."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (len(inst.destinations),):
-        raise ValueError("demand vector has wrong dimension")
-    return d.tolist()
+    return _as_draws(inst, [d])[0].tolist()
 
 
 def booking_cost(inst: Instance, x: Mapping[ArcKey, float]) -> float:
@@ -231,44 +247,87 @@ def recourse_cost(inst: Instance, x: Mapping[ArcKey, float],
 
 # -- constraint rows -------------------------------------------------------
 
-def first_stage_rows(p: LinearProblem, inst: Instance, relax: bool):
-    """Add the booking variables and the per-destination booking cap (C1)
-    to ``p``."""
-    for a in inst.arcs:
-        p.add_var(x_name(a), integer=not relax)
+def _template(inst: Instance) -> tuple[LinearProblem, int]:
+    """The first stage and one untagged recourse block, written row by row:
+    the booking cap (C1) per destination with arcs, then supplier capacity
+    (C2, its minimum right after it when r > 0), demand cover (C3) at zero
+    demand and the z <= x coupling, z written first. Returns the problem,
+    which the builders only read, and the number of C1 rows."""
+    p = LinearProblem()
+    p.add_vars([x_name(a) for a in inst.arcs])
+    rows = []   # (coeffs, lo, hi)
     for dest in inst.destinations:
         coeffs = {x_name(a): inst.q for a in inst.arcs_to(dest.id)}
         if coeffs:
-            p.add_row(coeffs, "<=", dest.g)
+            rows.append((coeffs, -np.inf, dest.g))
+    c1_rows = len(rows)
+    p.add_vars([z_name(a) for a in inst.arcs]
+               + [y_name(dest.id) for dest in inst.destinations])
+    for s in inst.suppliers:
+        coeffs = {z_name(a): inst.q for a in inst.arcs_from(s.id)}
+        if coeffs:
+            rows.append((coeffs, -np.inf, s.v))
+            if s.r > 0:
+                rows.append((coeffs, s.r, np.inf))
+    for dest in inst.destinations:
+        coeffs = {z_name(a): inst.q for a in inst.arcs_to(dest.id)}
+        coeffs[y_name(dest.id)] = inst.q
+        rows.append((coeffs, -dest.l0, np.inf))
+    rows += [({z_name(a): 1.0, x_name(a): -1.0}, -np.inf, 0.0)
+             for a in inst.arcs]
+    p.add_rows(p.indexed([c for c, _, _ in rows]),
+               [lo for _, lo, _ in rows], [hi for _, _, hi in rows])
+    return p, c1_rows
 
 
-def second_stage_rows(p: LinearProblem, inst: Instance, d, relax: bool,
-                      tag=None, booking: Mapping[ArcKey, float] | None = None):
-    """Add usage/purchase variables with supplier capacity (C2), demand cover
-    (C3) and the z <= x coupling for one demand realization to ``p``.
+def first_stage_rows(p: LinearProblem, inst: Instance, relax: bool):
+    """Add the booking variables and the per-destination booking cap (C1)
+    to ``p``, copied from the instance's template."""
+    t, c1_rows = inst._template
+    x0 = p.add_vars(t.var_names[:len(inst.arcs)], integer=not relax)
+    c1 = t.A[:c1_rows]
+    p.add_rows(Rows(c1.lens, c1.cols + x0, c1.vals), t.lo[:c1_rows],
+               t.hi[:c1_rows])
+
+
+def second_stage_rows(p: LinearProblem, inst: Instance, demands, relax: bool,
+                      tags, booking: Mapping[ArcKey, float] | None = None):
+    """Add one recourse block per demand vector ``demands[s]``, tagged
+    ``tags[s]``, to ``p``: usage and purchase variables with supplier
+    capacity (C2), demand cover (C3) and the z <= x coupling, each the
+    template's block with its columns. Returns those columns, one row per
+    block: the template's x, z and y, in ``p``.
 
     With a fixed ``booking`` the coupling is the bound z <= x* instead of a
-    row, and no booking variable is referenced. The C2 lower row is omitted
-    when r_k = 0 (vacuous for nonnegative z).
+    row, and no booking variable is referenced (x's columns read 0). The C2
+    lower row is omitted when r_k = 0 (vacuous for nonnegative z).
     """
-    demand = _as_demand(inst, d)
-    for a in inst.arcs:
-        cap = (None if booking is None
-               else max(0.0, float(booking.get(a.key, 0.0))))
-        p.add_var(z_name(a, tag), ub=cap, integer=not relax)
-    for dest in inst.destinations:
-        p.add_var(y_name(dest.id, tag))
-    for s in inst.suppliers:
-        coeffs = {z_name(a, tag): inst.q for a in inst.arcs_from(s.id)}
-        if not coeffs:
-            continue
-        p.add_row(coeffs, "<=", s.v)
-        if s.r > 0:
-            p.add_row(coeffs, ">=", s.r)
-    for dest, d_j in zip(inst.destinations, demand):
-        coeffs = {z_name(a, tag): inst.q for a in inst.arcs_to(dest.id)}
-        coeffs[y_name(dest.id, tag)] = inst.q
-        p.add_row(coeffs, ">=", d_j - dest.l0)
-    if booking is None:
-        for a in inst.arcs:
-            p.add_row({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0)
+    demands = _as_draws(inst, demands)
+    if len(tags) != len(demands):
+        raise ValueError("need one tag per demand vector")
+    t, c1_rows = inst._template
+    A, D, S = len(inst.arcs), len(inst.destinations), len(tags)
+    labels = [name[2:] for name in t.var_names[A:]]   # after "z[" or "y["
+    names = []
+    for tag in tags:
+        z, y = _prefix("z", tag), _prefix("y", tag)
+        names += [z + v for v in labels[:A]] + [y + v for v in labels[A:]]
+    ub = t.ub[A:].copy()
+    if booking is not None:
+        cap = np.array([float(booking.get(a.key, 0.0)) for a in inst.arcs])
+        ub[:A] = np.where(cap > 0.0, cap, 0.0)
+    first = p.add_vars(names, ub=np.tile(ub, S),
+                       integer=np.tile(np.arange(A + D) < A, S) & (not relax))
+    x = (np.zeros(A, dtype=int) if booking is not None
+         else p.columns(t.var_names[:A]))
+    cols = np.hstack([np.broadcast_to(x, (S, A)), first + np.arange(A + D)
+                      + (A + D) * np.arange(S)[:, None]])
+    m = t.lo.size   # the template's rows: C1, C2, C3 (D), coupling (A)
+    rows = slice(c1_rows, m if booking is None else m - A)
+    lo = np.tile(t.lo[rows], (S, 1))
+    c3 = m - A - D - c1_rows   # the block's first C3 row
+    lo[:, c3:c3 + D] += demands   # -l0 + d
+    block = t.A[rows]
+    p.add_rows(Rows(np.tile(block.lens, S), cols[:, block.cols].ravel(),
+                    np.tile(block.vals, S)), lo.ravel(), np.tile(t.hi[rows], S))
+    return cols

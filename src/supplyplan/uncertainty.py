@@ -46,6 +46,8 @@ class ScenarioSet:
                 raise ValueError("probabilities must sum to 1")
         if np.any(self.demands < 0):
             raise ValueError("demands must be nonnegative")
+        if self.dest_ids is not None and len(self.dest_ids) != self.D:
+            raise ValueError(f"{len(self.dest_ids)} dest_ids for {self.D} columns")
 
     @property
     def S(self) -> int:
@@ -72,7 +74,8 @@ class ScenarioSet:
 
 @dataclass
 class BoxParams:
-    """Nominal vectors and componentwise max-absolute deviations."""
+    """Nominal vectors and componentwise max-absolute deviations: four
+    finite vectors of one length, one entry per destination."""
 
     d_nominal: np.ndarray
     d_dev: np.ndarray
@@ -80,8 +83,14 @@ class BoxParams:
     b_dev: np.ndarray
 
     def __post_init__(self):
-        for name in ("d_nominal", "d_dev", "b_nominal", "b_dev"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        vectors = [np.asarray(getattr(self, name), dtype=float) for name
+                   in ("d_nominal", "d_dev", "b_nominal", "b_dev")]
+        self.d_nominal, self.d_dev, self.b_nominal, self.b_dev = vectors
+        if self.d_nominal.ndim != 1 or any(v.shape != self.d_nominal.shape
+                                           for v in vectors):
+            raise ValueError("box vectors must be 1-D and of one length")
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise ValueError("box vectors must be finite")
         if np.any(self.d_dev < 0) or np.any(self.b_dev < 0):
             raise ValueError("deviations must be nonnegative")
 

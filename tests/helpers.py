@@ -14,6 +14,34 @@ import math
 import numpy as np
 
 import supplyplan as sp
+from supplyplan.model import x_name, y_name, z_name
+
+
+# -- a problem's rows and cones read back by name --------------------------
+
+def _maps(rows, names):
+    ends = np.cumsum(rows.lens).tolist()
+    return [dict(zip([names[j] for j in rows.cols[e - k:e]],
+                     rows.vals[e - k:e].tolist()))
+            for k, e in zip(rows.lens.tolist(), ends)]
+
+
+def rows(p: sp.LinearProblem) -> list:
+    """The linear rows of ``p`` as ``(coeffs, relation, rhs)``."""
+    return [(c, "<=", hi) if lo == -math.inf else
+            (c, ">=", lo) if hi == math.inf else (c, "==", lo)
+            for c, lo, hi in zip(_maps(p.A, p.var_names), p.lo.tolist(),
+                                 p.hi.tolist())]
+
+
+def cones(p: sp.LinearProblem) -> list:
+    """The cone rows of ``p`` as :class:`supplyplan.ConeRow` objects."""
+    terms = _maps(p.terms, p.var_names)
+    ends = np.cumsum(p.n_terms).tolist()
+    return [sp.ConeRow(p.var_names[j], affine, terms[e - k:e], s)
+            for j, affine, k, e, s in zip(
+                p.epi.tolist(), _maps(p.affine, p.var_names),
+                p.n_terms.tolist(), ends, p.scale.tolist())]
 
 
 # -- vertex enumeration oracle for small LPs --------------------------------
@@ -24,7 +52,7 @@ def enumerate_lp(p: sp.LinearProblem) -> float:
     finite. Returns +inf when no feasible vertex exists."""
     n = p.num_vars
     planes = []  # (normal, rhs) candidates for active constraints
-    for coeffs, rel, rhs in p.rows:
+    for coeffs, rel, rhs in rows(p):
         a = np.zeros(n)
         for name, c in coeffs.items():
             a[p.var_names.index(name)] = c
@@ -42,7 +70,7 @@ def enumerate_lp(p: sp.LinearProblem) -> float:
         for i in range(n):
             if x[i] < p.lb[i] - 1e-9 or x[i] > p.ub[i] + 1e-9:
                 return False
-        for coeffs, rel, rhs in p.rows:
+        for coeffs, rel, rhs in rows(p):
             lhs = sum(c * x[p.var_names.index(nm)] for nm, c in coeffs.items())
             if rel == "<=" and lhs > rhs + 1e-9:
                 return False
@@ -80,7 +108,7 @@ def enumerate_mip(p: sp.LinearProblem) -> float:
         ranges.append(np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=float))
     grid = np.array(list(itertools.product(*ranges)))
     feasible = np.ones(len(grid), dtype=bool)
-    for coeffs, rel, rhs in p.rows:
+    for coeffs, rel, rhs in rows(p):
         a = np.zeros(p.num_vars)
         for name, c in coeffs.items():
             a[p.var_names.index(name)] = c
@@ -225,3 +253,94 @@ def band_scens() -> sp.ScenarioSet:
     return sp.ScenarioSet(np.array(demands, dtype=float),
                           np.array(costs, dtype=float),
                           dest_ids=["d1", "d2"])
+
+
+# -- row-by-row builds of every model, the byte-identity oracle -------------
+#
+# The package stacks one index-form block per scenario; these write the same
+# problems one named variable and one dict row at a time, through the public
+# add_var / add_row / add_cone / add_obj, in the order the model defines:
+# C1 per destination with arcs; then per block C2 <= v per supplier with
+# arcs (>= r right after it when r > 0), C3 per destination, and z - x <= 0
+# per arc, z written first. x's cost is added scenario by scenario.
+
+def _rowwise_first_stage(p, inst, relax):
+    for a in inst.arcs:
+        p.add_var(x_name(a), integer=not relax)
+    for dest in inst.destinations:
+        coeffs = {x_name(a): inst.q for a in inst.arcs if a.dest == dest.id}
+        if coeffs:
+            p.add_row(coeffs, "<=", dest.g)
+
+
+def _rowwise_block(p, inst, d, relax, tag=None, booking=None):
+    for a in inst.arcs:
+        cap = (None if booking is None
+               else max(0.0, float(booking.get(a.key, 0.0))))
+        p.add_var(z_name(a, tag), ub=cap, integer=not relax)
+    for dest in inst.destinations:
+        p.add_var(y_name(dest.id, tag))
+    for s in inst.suppliers:
+        coeffs = {z_name(a, tag): inst.q for a in inst.arcs
+                  if a.supplier == s.id}
+        if not coeffs:
+            continue
+        p.add_row(coeffs, "<=", s.v)
+        if s.r > 0:
+            p.add_row(coeffs, ">=", s.r)
+    for dest, d_j in zip(inst.destinations, d):
+        coeffs = {z_name(a, tag): inst.q for a in inst.arcs
+                  if a.dest == dest.id}
+        coeffs[y_name(dest.id, tag)] = inst.q
+        p.add_row(coeffs, ">=", float(d_j) - dest.l0)
+    if booking is None:
+        for a in inst.arcs:
+            p.add_row({z_name(a, tag): 1.0, x_name(a): -1.0}, "<=", 0.0)
+
+
+def _rowwise_cost(inst, b, tag=None, weight=1.0):
+    coeffs = {}
+    for a in inst.arcs:
+        coeffs[x_name(a)] = weight * inst.q * a.t * (1.0 - inst.alpha)
+        coeffs[z_name(a, tag)] = weight * inst.alpha * inst.q * a.t
+    for dest, b_j in zip(inst.destinations, b):
+        coeffs[y_name(dest.id, tag)] = weight * inst.q * float(b_j)
+    return coeffs
+
+
+def rowwise_expected(inst, demands, costs, probs, relax, tags):
+    """build_sp over ``(demands, costs, probs)`` with tags ``range(S)``, or
+    build_ws with ``[d], [b], [1.0]`` and tags ``[None]``."""
+    p = sp.LinearProblem()
+    _rowwise_first_stage(p, inst, relax)
+    for d, b, prob, tag in zip(demands, costs, probs, tags):
+        _rowwise_block(p, inst, d, relax, tag)
+        for name, c in _rowwise_cost(inst, b, tag, float(prob)).items():
+            p.add_obj(name, c)
+    return p
+
+
+def rowwise_worst(inst, demands, box, omega, tags):
+    """build_trsocp over the scenario demands with tags ``range(S)``, or
+    build_ro_ell with ``[box.d_corner]`` and tags ``[None]``."""
+    p = sp.LinearProblem()
+    p.add_var("w", obj=1.0, lb=None)
+    _rowwise_first_stage(p, inst, True)
+    for d, tag in zip(demands, tags):
+        _rowwise_block(p, inst, d, True, tag)
+        terms = [{y_name(dest.id, tag): inst.q * float(dev)}
+                 for dest, dev in zip(inst.destinations, box.b_dev)]
+        p.add_cone(sp.ConeRow("w", _rowwise_cost(inst, box.b_nominal, tag),
+                              terms, scale=float(omega)))
+    return p
+
+
+def rowwise_recourse(inst, booking, d, b, relax):
+    """build_recourse of the booking ``{arc key: value}``."""
+    p = sp.LinearProblem()
+    _rowwise_block(p, inst, d, relax, booking=booking)
+    cost = _rowwise_cost(inst, b)
+    for name in p.var_names:
+        p.add_obj(name, cost[name])
+    p.objective_offset = (1.0 - inst.alpha) * sp.booking_cost(inst, booking)
+    return p

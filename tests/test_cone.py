@@ -9,9 +9,13 @@ import supplyplan as sp
 from supplyplan import linprog
 from supplyplan.linprog import ConeRow, Status, _row_form
 
+import helpers
 
-def _norm_problem(point, omega):
-    """min w s.t. w >= omega * ||x||, x fixed at ``point`` by equality rows."""
+
+def _norm_problem(point, omega, affine=None, fixed=()):
+    """min w s.t. w - affine >= omega * ||x||, x fixed at ``point`` by
+    equality rows, and each ``(name, value)`` of ``fixed`` a free variable
+    fixed at its value."""
     p = sp.LinearProblem()
     p.add_var("w", obj=1.0, lb=None)
     terms = []
@@ -19,7 +23,10 @@ def _norm_problem(point, omega):
         p.add_var(f"x{i}", lb=None)
         p.add_row({f"x{i}": 1.0}, "==", float(v))
         terms.append({f"x{i}": 1.0})
-    p.add_cone(ConeRow("w", {}, terms, scale=omega))
+    for name, value in fixed:
+        p.add_var(name, lb=None)
+        p.add_row({name: 1.0}, "==", value)
+    p.add_cone(ConeRow("w", affine or {}, terms, scale=omega))
     return p
 
 
@@ -83,19 +90,16 @@ def test_omega_zero_reduces_to_linear(cfg):
 
 
 def test_affine_part_shifts_epigraph(cfg):
-    p = _norm_problem([3.0, 4.0], omega=1.0)
-    p.cones[0].affine_part = {"x0": 1.0}  # w >= x0 + ||x||
+    p = _norm_problem([3.0, 4.0], omega=1.0,
+                      affine={"x0": 1.0})  # w >= x0 + ||x||
     sol = sp.solve_lp(p, cfg)
     assert sol.objective == pytest.approx(8.0, rel=1e-5)
 
 
 def test_affine_part_over_several_variables(cfg):
     # w - 2u - 3v >= 1.5 ||(x0, x1)|| at u = 1.5, v = -2, x = (3, 4)
-    p = _norm_problem([3.0, 4.0], omega=1.5)
-    for name, value in (("u", 1.5), ("v", -2.0)):
-        p.add_var(name, lb=None)
-        p.add_row({name: 1.0}, "==", value)
-    p.cones[0].affine_part = {"u": 2.0, "v": 3.0}
+    p = _norm_problem([3.0, 4.0], omega=1.5, affine={"u": 2.0, "v": 3.0},
+                      fixed=(("u", 1.5), ("v", -2.0)))
     sol = sp.solve_lp(p, cfg)
     assert sol.optimal
     assert sol.objective == pytest.approx(3.0 - 6.0 + 1.5 * 5.0, rel=1e-5)
@@ -131,7 +135,7 @@ def test_cuts_leave_out_the_affine_part(cfg, monkeypatch):
     p = sp.build_trsocp(inst, scens, sp.estimate_box(scens), 2.75)
     matrices = _lp_matrices(p, cfg, monkeypatch)
 
-    live = [c for c in p.cones if c.scale > 0.0 and c.cone_terms]
+    live = [c for c in helpers.cones(p) if c.scale > 0.0 and c.cone_terms]
     assert len(live) == 6
     # an initial cut with the affine part copied in spans epi, the affine
     # names and its terms' names: one term per axis cut (+/-), all in the
@@ -153,7 +157,8 @@ def _worst_violation(p, values):
     def at(coeffs):
         return sum(c * values[name] for name, c in coeffs.items())
     return max(c.scale * math.hypot(*map(at, c.cone_terms))
-               - values[c.epigraph_var] + at(c.affine_part) for c in p.cones)
+               - values[c.epigraph_var] + at(c.affine_part)
+               for c in helpers.cones(p))
 
 
 def test_solve_lp_reaches_the_cone_optimum_of_m3_and_m4(cfg):
@@ -189,7 +194,7 @@ def test_every_written_row_holds_on_the_cone(cfg, monkeypatch, point, omega):
         s = float(np.linalg.norm(tau))
         z = np.concatenate([[s], x, [s], tau * tau / s])   # w on the cone
         assert A.shape[1] == z.size
-        assert (A[len(p.rows):] @ z).min() >= -1e-9
+        assert (A[p.lo.size:] @ z).min() >= -1e-9
 
 
 def test_m4_closes_in_few_rounds(cfg):
@@ -242,8 +247,8 @@ def test_gap_lifts_the_epigraph_or_is_inf(cfg, monkeypatch):
     bounded.ub[0] = 100.0                      # w <= 100
     in_a_row = _norm_problem([3.0, 4.0], omega=1.0)
     in_a_row.add_row({"w": 1.0, "x0": -1.0}, ">=", 0.0)
-    shifted = _norm_problem([3.0, 4.0], omega=1.0)
-    shifted.cones[0].affine_part = {"w": 0.5}  # raising w raises E x by half
+    # raising w raises E x by half
+    shifted = _norm_problem([3.0, 4.0], omega=1.0, affine={"w": 0.5})
     for p in (bounded, in_a_row, shifted):
         sol = sp.solve_lp(p, cfg)
         assert sol.optimal and sol.gap == math.inf
@@ -317,7 +322,7 @@ def test_add_cone_rejects_undeclared_names():
                  ConeRow("w", {}, [{"x": 1.0}, {"u": 1.0}], scale=1.0)):
         with pytest.raises(ValueError, match="undeclared"):
             p.add_cone(cone)
-    assert p.cones == []
+    assert helpers.cones(p) == []
 
 
 def test_negative_scale_rejected():

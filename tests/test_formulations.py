@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supplyplan as sp
+from supplyplan import linprog
 from supplyplan.formulations import PHI_ZERO_TOL
+from supplyplan.linprog import _row_form
 
 import helpers
 
@@ -194,3 +199,91 @@ def test_recover_raises_outside_hull(tight, tight_scens, cfg):
     phi = 10.0 * PHI_ZERO_TOL * (float(d @ d) + 1.0)
     with pytest.raises(sp.PhiPositive):
         sp.recover_adjustable_m5(tight, sol, lam, phi, d)
+
+
+# -- stacked blocks against the row-by-row build -----------------------------
+
+class _FirstLP(Exception):
+    pass
+
+
+def _first_lp(p):
+    """The arguments of the first HiGHS call ``solve_lp(p)`` makes: for a
+    cone problem, the cut loop's first LP, whose link rows are ``E`` and
+    whose initial cuts are written on ``T``."""
+    def stop(*args, **kwargs):
+        raise _FirstLP(args[:6])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linprog, "run_highs", stop)
+        with pytest.raises(_FirstLP) as caught:
+            sp.solve_lp(p)
+    return caught.value.args[0]
+
+
+def _assert_identical(got, want):
+    """Byte-identical ``c, A, lo, hi, col_lo, col_hi``, CSR arrays of ``A``
+    included."""
+    def arrays(form):
+        for v in form:
+            yield from ((v.indptr, v.indices, v.data)
+                        if scipy.sparse.issparse(v) else (v,))
+    assert [v.shape for v in got] == [v.shape for v in want]
+    for u, v in zip(arrays(got), arrays(want), strict=True):
+        assert u.dtype == v.dtype and np.array_equal(u, v)
+        assert u.tobytes() == v.tobytes()
+
+
+@st.composite
+def _instances(draw):
+    """Generator instances with supplier minima r > 0 on some suppliers,
+    initial inventory l0 > 0 on some destinations and any refund alpha."""
+    inst = sp.gen_instance(draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                           seed=draw(st.integers(0, 10_000)))
+    share = st.sampled_from([0.0, 0.0, 0.2, 0.5])
+    return dataclasses.replace(
+        inst, alpha=draw(st.sampled_from([0.0, 0.3, 0.75, 1.0])),
+        suppliers=tuple(dataclasses.replace(s, r=draw(share) * s.v)
+                        for s in inst.suppliers),
+        destinations=tuple(dataclasses.replace(d, l0=draw(share) * d.g)
+                           for d in inst.destinations))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(inst=_instances(), n=st.integers(1, 12), seed=st.integers(0, 100),
+       omega=st.sampled_from([0.0, 1.0, 2.75]), relax=st.booleans(),
+       data=st.data())
+def test_every_builder_matches_the_row_by_row_build(inst, n, seed, omega,
+                                                   relax, data):
+    """``_row_form`` of each builder equals that of a plain row-by-row
+    build with the public ``add_var``/``add_row``/``add_cone``, and so does
+    the first LP of the cut loop on m3 and m4: HiGHS receives the same
+    bytes."""
+    scens = sp.gen_scenarios(inst, n + 1, seed=seed)
+    box = sp.estimate_box(scens.head(n))
+    d, b = scens.demands[-1], scens.costs[-1]
+    booking = {a.key: data.draw(st.sampled_from([-1.0, 0.0, 0.5, 3.0]))
+               for a in inst.arcs}
+    cases = [
+        (sp.build_sp(inst, scens, relax), helpers.rowwise_expected(
+            inst, scens.demands, scens.costs, scens.probs, relax,
+            range(scens.S))),
+        (sp.build_ws(inst, d, b, relax), helpers.rowwise_expected(
+            inst, [d], [b], [1.0], relax, [None])),
+        (sp.build_ro_box(inst, box, relax), helpers.rowwise_expected(
+            inst, [box.d_corner], [box.b_nominal + box.b_dev], [1.0],
+            relax, [None])),
+        (sp.build_recourse(inst, booking, d, b, relax),
+         helpers.rowwise_recourse(inst, booking, d, b, relax))]
+    cones = [
+        (sp.build_ro_ell(inst, box, omega), helpers.rowwise_worst(
+            inst, [box.d_corner], box, omega, [None])),
+        (sp.build_trsocp(inst, scens.head(n), box, omega),
+         helpers.rowwise_worst(inst, scens.demands[:n], box, omega,
+                               range(n)))]
+    for got, want in cases + cones:
+        _assert_identical(_row_form(got), _row_form(want))
+        assert got.var_names == want.var_names
+        assert np.array_equal(got.integer, want.integer)
+        assert got.objective_offset == want.objective_offset
+    for got, want in cones:
+        _assert_identical(_first_lp(got), _first_lp(want))

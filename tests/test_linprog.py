@@ -6,8 +6,7 @@ import scipy.sparse
 
 import supplyplan as sp
 from supplyplan import framework, linprog
-from supplyplan.linprog import (ConeRow, Status, _row_form, rows_to_csr,
-                               run_highs)
+from supplyplan.linprog import ConeRow, Rows, Status, _row_form, run_highs
 
 import helpers
 
@@ -109,7 +108,36 @@ def test_validation_errors():
                  ConeRow("x", {}, [{"x": 1.0}, {"x": math.inf}], scale=1.0)):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             p.add_cone(cone)
-    assert p.cones == []
+    assert helpers.cones(p) == []
+
+
+def test_block_appends_check_each_block_at_once():
+    """Index-form blocks take the dict path's checks, and a rejected block
+    leaves the problem as it was."""
+    p = sp.LinearProblem()
+    assert p.add_vars(["a", "b"], ub=[1.0, math.inf]) == 0
+    bad_blocks = (
+        (lambda: p.add_vars(["c", "c"]), "duplicate variable 'c'"),
+        (lambda: p.add_vars(["c", "d"], lb=[0.0, math.nan]), "lb of 'd'"),
+        (lambda: p.add_rows(Rows([2], [0, 2], [1.0, 1.0]), 0.0, 1.0),
+         "undeclared column"),
+        (lambda: p.add_rows(Rows([2], [0], [1.0, 1.0]), 0.0, 1.0),
+         "disagree"),
+        (lambda: p.add_rows(Rows([1, 1], [0, 1], [1.0, math.inf]), 0.0, 1.0),
+         "non-finite coefficient on 'b'"),
+        (lambda: p.add_rows(Rows([1, 1], [0, 1], [1.0, 1.0]), [0.0, math.nan],
+                            math.inf), "non-finite right hand side"),
+        (lambda: p.add_costs([0, 1], [1.0, math.nan]), "non-finite coefficient"),
+        (lambda: p.add_cones([0, 1], Rows([0, 0]), Rows([1, 1], [1, 0],
+                                                        [1.0, 1.0]),
+                             [1, 1], [1.0, -1.0]), "cone scale"))
+    for append, message in bad_blocks:
+        with pytest.raises(ValueError, match=message):
+            append()
+    assert p.var_names == ["a", "b"] and p.obj.tolist() == [0.0, 0.0]
+    assert p.lo.size == 0 and p.epi.size == 0
+    p.add_vars(["c"])     # the index still holds a and b only
+    assert p.columns(["c", "a"]).tolist() == [2, 0]
 
 
 def test_add_obj_rejects_non_finite_and_undeclared(tight):
@@ -238,10 +266,11 @@ def test_run_highs_warm_start_matches_a_cold_solve():
         assert first.optimal
         cut = {f"v{i}": float(rng.uniform(-3, 3)) for i in range(p.num_vars)}
         rhs = float(rng.uniform(-2, 0))   # the origin stays feasible
-        A = scipy.sparse.vstack([A, rows_to_csr(p, [cut])], format="csr")
+        p.add_row(cut, ">=", rhs)
+        cut_row = _row_form(p)[1][-1:]
+        A = scipy.sparse.vstack([A, cut_row], format="csr")
         warm, _, _ = run_highs(c, A, np.append(lo, rhs), np.append(hi, np.inf),
                                col_lo, col_hi, basis)
-        p.add_row(cut, ">=", rhs)
         assert warm.optimal
         assert warm.objective == pytest.approx(sp.solve_lp(p).objective,
                                                abs=1e-7)

@@ -157,9 +157,10 @@ def _second_stage(inst, d, relax=True, tag=None, booking=None):
     problem holding the first stage."""
     p = sp.LinearProblem()
     first_stage_rows(p, inst, relax)
-    n_vars, n_rows = p.num_vars, len(p.rows)
-    second_stage_rows(p, inst, d, relax, tag, booking)
-    return p.var_names[n_vars:], p.integer[n_vars:], p.rows[n_rows:]
+    n_vars, n_rows = p.num_vars, p.lo.size
+    second_stage_rows(p, inst, [d], relax, [tag], booking)
+    return (p.var_names[n_vars:], p.integer[n_vars:].tolist(),
+            helpers.rows(p)[n_rows:])
 
 
 def test_first_stage_rows_structure(tight):
@@ -168,8 +169,8 @@ def test_first_stage_rows_structure(tight):
     assert p.var_names == [x_name(a) for a in tight.arcs]
     assert not any(p.integer)
     # one booking cap per destination
-    assert len(p.rows) == 2
-    coeffs, rel, rhs = p.rows[0]
+    assert p.lo.size == 2
+    coeffs, rel, rhs = helpers.rows(p)[0]
     assert rel == "<=" and rhs == tight.destinations[0].g
     assert all(c == tight.q for c in coeffs.values())
 
@@ -194,13 +195,14 @@ def test_fixed_booking_bounds_usage_without_coupling_rows(tight):
     booking = {a.key: float(i) for i, a in enumerate(tight.arcs)}
     booking[tight.arcs[1].key] = -0.5  # clamped to a zero cap
     p = sp.LinearProblem()
-    second_stage_rows(p, tight, [80.0, 90.0], relax=True, booking=booking)
+    second_stage_rows(p, tight, [[80.0, 90.0]], relax=True, tags=[None],
+                      booking=booking)
     caps = [p.ub[p.var_names.index(z_name(a))] for a in tight.arcs]
     assert caps == [0.0, 0.0] + [float(i) for i in range(2, len(tight.arcs))]
-    assert all(ub is None for name, ub in zip(p.var_names, p.ub)
+    assert all(ub == math.inf for name, ub in zip(p.var_names, p.ub)
                if name.startswith("y["))
     # supplier caps and demand rows only; no booking variable referenced
-    assert len(p.rows) == 2 + 2
+    assert p.lo.size == 2 + 2
     assert not any(name.startswith("x[") for name in p.var_names)
 
 
@@ -219,6 +221,8 @@ def test_demand_is_a_vector_in_destination_order(one_arc):
         _second_stage(one_arc, [30.0, 40.0])
     with pytest.raises(TypeError):  # a {destination: value} map
         _second_stage(one_arc, {"d1": 30.0})
+    with pytest.raises(ValueError, match="non-finite right hand side"):
+        _second_stage(one_arc, [math.nan])
 
 
 def test_initial_inventory_reduces_demand():

@@ -137,6 +137,40 @@ def test_box_params_validation(tight, tight_scens):
         sp.build_ro_ell(tight, box, -1.0)  # negative radius
 
 
+def test_box_params_need_four_finite_vectors_of_one_length():
+    nominal = dict(d_nominal=[60.0, 70.0], d_dev=[5.0, 6.0],
+                   b_nominal=[7.0, 9.0], b_dev=[1.0, 0.5])
+    for name, bad in (("b_dev", [1.0]), ("b_dev", [1.0, 0.5, 0.2]),
+                      ("d_nominal", [[60.0, 70.0]]), ("d_nominal", 60.0)):
+        with pytest.raises(ValueError, match="one length"):
+            sp.BoxParams(**{**nominal, name: bad})
+    for name, bad in (("d_nominal", [math.nan, 70.0]),
+                      ("d_dev", [math.inf, 6.0]), ("b_nominal", [7.0, -math.inf]),
+                      ("b_dev", [1.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            sp.BoxParams(**{**nominal, name: bad})
+
+
+def test_builders_reject_a_box_of_another_length(tight, tight_scens):
+    """A box of three destinations on the two-destination instance: every
+    builder that reads a box raises instead of broadcasting or truncating."""
+    box = sp.BoxParams([60.0, 70.0, 80.0], [5.0, 6.0, 7.0], [7.0, 9.0, 8.0],
+                       [1.0, 0.5, 0.2])
+    for build in (lambda: sp.build_ro_box(tight, box),
+                  lambda: sp.build_ro_ell(tight, box, 2.75),
+                  lambda: sp.build_trsocp(tight, tight_scens, box, 2.75)):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            build()
+
+
+def test_scenario_set_needs_one_dest_id_per_column():
+    with pytest.raises(ValueError, match="dest_ids"):
+        sp.ScenarioSet([[1.0, 2.0]], [[1.0, 2.0]], dest_ids=["a"])
+    with pytest.raises(ValueError, match="dest_ids"):
+        sp.ScenarioSet([[1.0, 2.0]], dest_ids=["a", "b", "c"])
+    assert sp.ScenarioSet([[1.0, 2.0]], dest_ids=["a", "b"]).D == 2
+
+
 def test_omega_epsilon_round_trip():
     for eps in (0.5, 0.1, 0.023, 1e-4):
         omega = omega_for_epsilon(eps)
